@@ -53,12 +53,33 @@ void BlockCache::TouchLru(Entry* entry, SimTime now) {
   LruPushFront(entry);
 }
 
+void BlockCache::PushSlot(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry) {
+  entry->*slot = static_cast<uint32_t>(list.size());
+  list.push_back(entry);
+}
+
+void BlockCache::SwapRemove(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry) {
+  Entry* last = list.back();
+  list[entry->*slot] = last;
+  last->*slot = entry->*slot;
+  list.pop_back();
+}
+
+void BlockCache::SortForFlush(std::vector<Entry*>& dirty) {
+  std::sort(dirty.begin(), dirty.end(),
+            [](const Entry* a, const Entry* b) { return a->key.index > b->key.index; });
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    dirty[i]->dirty_slot = static_cast<uint32_t>(i);
+  }
+}
+
 void BlockCache::MarkDirty(Entry* entry, SimTime now) {
   entry->dirty = true;
   entry->dirty_since = now;
   entry->dirty_extent = 0;
-  FileState& fs = files_[entry->key.file];
-  if (++fs.dirty_count == 1) {
+  FileState& fs = files_.find(entry->key.file)->second;
+  PushSlot(fs.dirty, &Entry::dirty_slot, entry);
+  if (fs.dirty.size() == 1) {
     dirty_files_.insert(entry->key.file);
   }
 }
@@ -66,8 +87,9 @@ void BlockCache::MarkDirty(Entry* entry, SimTime now) {
 void BlockCache::MarkClean(Entry* entry) {
   entry->dirty = false;
   entry->dirty_extent = 0;
-  FileState& fs = files_[entry->key.file];
-  if (--fs.dirty_count == 0) {
+  FileState& fs = files_.find(entry->key.file)->second;
+  SwapRemove(fs.dirty, &Entry::dirty_slot, entry);
+  if (fs.dirty.empty()) {
     dirty_files_.erase(entry->key.file);
   }
 }
@@ -101,10 +123,7 @@ void BlockCache::InsertClean(BlockKey key, SimTime now, WritebackFn writeback) {
   entry.key = key;
   entry.last_ref = now;
   LruPushFront(&entry);
-  FileState& fs = files_[key.file];
-  auto pos = std::lower_bound(fs.blocks.begin(), fs.blocks.end(), key.index,
-                              [](const auto& p, int64_t index) { return p.first < index; });
-  fs.blocks.insert(pos, {key.index, &entry});
+  PushSlot(files_[key.file].blocks, &Entry::block_slot, &entry);
 }
 
 void BlockCache::InsertPrefetched(BlockKey key, SimTime now, WritebackFn writeback) {
@@ -144,11 +163,8 @@ bool BlockCache::IsDirty(BlockKey key) const {
   return it != entries_.end() && it->second.dirty;
 }
 
-void BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason reason,
-                            const WritebackFn& writeback) {
-  if (!entry->dirty) {
-    return;
-  }
+BlockCache::Entry* BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason reason,
+                                          const WritebackFn& writeback) {
   if (counters_ != nullptr) {
     const int r = static_cast<int>(reason);
     ++counters_->cleaned[r];
@@ -156,36 +172,68 @@ void BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason reason,
     counters_->bytes_written_to_server += entry->dirty_extent;
   }
   if (writeback) {
-    writeback(entry->key, entry->dirty_extent);
+    const BlockKey key = entry->key;
+    const uint64_t erases = erase_count_;
+    writeback(key, entry->dirty_extent);
+    if (erase_count_ != erases) {
+      // The callback re-entered and erased blocks; `entry` may be freed.
+      auto it = entries_.find(key);
+      if (it == entries_.end()) {
+        return nullptr;
+      }
+      entry = &it->second;
+    }
   }
-  MarkClean(entry);
+  if (entry->dirty) {  // a nested flush of the same file may have cleaned it
+    MarkClean(entry);
+  }
+  return entry;
 }
 
 void BlockCache::EraseEntry(Entry* entry) {
+  assert(!entry->dirty);  // EvictBlock cleans first; whole files go via EraseFile
   LruUnlink(entry);
-  if (entry->dirty) {
-    // Erased while still dirty (invalidation/drop paths): the per-file
-    // dirty accounting must not leak.
-    MarkClean(entry);
-  }
   auto fit = files_.find(entry->key.file);
-  if (fit != files_.end()) {
-    auto& blocks = fit->second.blocks;
-    auto pos = std::lower_bound(blocks.begin(), blocks.end(), entry->key.index,
-                                [](const auto& p, int64_t index) { return p.first < index; });
-    if (pos != blocks.end() && pos->first == entry->key.index) {
-      blocks.erase(pos);
-    }
-    if (blocks.empty() && fit->second.version == 0) {
-      files_.erase(fit);
-    }
+  FileState& fs = fit->second;
+  SwapRemove(fs.blocks, &Entry::block_slot, entry);
+  if (fs.blocks.empty() && fs.version == 0) {
+    files_.erase(fit);
   }
-  entries_.erase(entry->key);
+  const BlockKey key = entry->key;
+  entries_.erase(key);
+  ++erase_count_;
+}
+
+int64_t BlockCache::EraseFile(uint64_t file) {
+  auto fit = files_.find(file);
+  if (fit == files_.end()) {
+    return 0;
+  }
+  int64_t dirty_bytes = 0;
+  for (const Entry* entry : fit->second.dirty) {
+    dirty_bytes += entry->dirty_extent;
+  }
+  for (Entry* entry : fit->second.blocks) {
+    LruUnlink(entry);
+    const BlockKey key = entry->key;
+    entries_.erase(key);
+  }
+  if (!fit->second.dirty.empty()) {
+    dirty_files_.erase(file);
+  }
+  files_.erase(fit);
+  ++erase_count_;
+  return dirty_bytes;
 }
 
 void BlockCache::EvictBlock(Entry* entry, SimTime now, CleanReason reason,
                             ReplaceReason replace_reason, const WritebackFn& writeback) {
-  CleanBlock(entry, now, reason, writeback);
+  if (entry->dirty) {
+    entry = CleanBlock(entry, now, reason, writeback);
+    if (entry == nullptr) {
+      return;  // dropped by a re-entrant callback: gone, not replaced
+    }
+  }
   if (counters_ != nullptr) {
     const SimDuration age = now - entry->last_ref;
     if (replace_reason == ReplaceReason::kForFileBlock) {
@@ -199,19 +247,46 @@ void BlockCache::EvictBlock(Entry* entry, SimTime now, CleanReason reason,
   EraseEntry(entry);
 }
 
+std::pair<int64_t, int64_t> BlockCache::FlushFile(uint64_t file, SimTime now,
+                                                  CleanReason reason,
+                                                  const WritebackFn& writeback) {
+  int64_t blocks = 0;
+  int64_t bytes = 0;
+  auto fit = files_.find(file);
+  if (fit == files_.end()) {
+    return {blocks, bytes};
+  }
+  SortForFlush(fit->second.dirty);
+  while (!fit->second.dirty.empty()) {
+    Entry* entry = fit->second.dirty.back();
+    ++blocks;
+    bytes += entry->dirty_extent;
+    const uint64_t erases = erase_count_;
+    CleanBlock(entry, now, reason, writeback);
+    if (erase_count_ != erases) {
+      // The writeback re-entered and erased blocks: the file may be gone,
+      // and swap-removes may have broken the flush order.
+      fit = files_.find(file);
+      if (fit == files_.end()) {
+        break;
+      }
+      SortForFlush(fit->second.dirty);
+    }
+  }
+  return {blocks, bytes};
+}
+
 int64_t BlockCache::CleanAged(SimTime now, WritebackFn writeback) {
   if (dirty_files_.empty()) {
     return 0;
   }
-  // Pass 1: find files with at least one block dirty >= delay. Only files
-  // in the dirty set are examined — a fully clean cache costs nothing, no
-  // matter how large it is. dirty_files_ is ordered, so files_due keeps
-  // the ascending-file-id order the old full-scan std::set produced.
+  // Pass 1: find files with at least one block dirty >= delay, looking only
+  // at dirty blocks of dirty files — a clean cache costs nothing, no matter
+  // how large it is. dirty_files_ is ordered, so files_due is ascending.
   std::vector<uint64_t> files_due;
   for (uint64_t file : dirty_files_) {
-    const FileState& fs = files_.find(file)->second;
-    for (const auto& [index, entry] : fs.blocks) {
-      if (entry->dirty && now - entry->dirty_since >= config_.writeback_delay) {
+    for (const Entry* entry : files_.find(file)->second.dirty) {
+      if (now - entry->dirty_since >= config_.writeback_delay) {
         files_due.push_back(file);
         break;
       }
@@ -219,54 +294,32 @@ int64_t BlockCache::CleanAged(SimTime now, WritebackFn writeback) {
   }
   // Pass 2: write back every dirty block of those files ("All dirty blocks
   // for a file are written to the server if any block ... has been dirty for
-  // 30 seconds"), in ascending block order.
+  // 30 seconds").
   int64_t cleaned = 0;
   for (uint64_t file : files_due) {
-    auto fit = files_.find(file);
-    if (fit == files_.end()) {
-      continue;
-    }
-    for (const auto& [index, entry] : fit->second.blocks) {
-      if (entry->dirty) {
-        CleanBlock(entry, now, CleanReason::kDelay, writeback);
-        ++cleaned;
-      }
-    }
+    cleaned += FlushFile(file, now, CleanReason::kDelay, writeback).first;
   }
   return cleaned;
 }
 
 int64_t BlockCache::CleanFile(uint64_t file, SimTime now, CleanReason reason,
                               WritebackFn writeback) {
+  return FlushFile(file, now, reason, writeback).second;
+}
+
+bool BlockCache::HasDirtyBlocks(uint64_t file) const {
+  auto fit = files_.find(file);
+  return fit != files_.end() && !fit->second.dirty.empty();
+}
+
+int64_t BlockCache::DirtyBytes(uint64_t file) const {
   auto fit = files_.find(file);
   if (fit == files_.end()) {
     return 0;
   }
   int64_t bytes = 0;
-  for (const auto& [index, entry] : fit->second.blocks) {
-    if (entry->dirty) {
-      bytes += entry->dirty_extent;
-      CleanBlock(entry, now, reason, writeback);
-    }
-  }
-  return bytes;
-}
-
-bool BlockCache::HasDirtyBlocks(uint64_t file) const {
-  auto fit = files_.find(file);
-  return fit != files_.end() && fit->second.dirty_count > 0;
-}
-
-int64_t BlockCache::DirtyBytes(uint64_t file) const {
-  auto fit = files_.find(file);
-  if (fit == files_.end() || fit->second.dirty_count == 0) {
-    return 0;
-  }
-  int64_t bytes = 0;
-  for (const auto& [index, entry] : fit->second.blocks) {
-    if (entry->dirty) {
-      bytes += entry->dirty_extent;
-    }
+  for (const Entry* entry : fit->second.dirty) {
+    bytes += entry->dirty_extent;
   }
   return bytes;
 }
@@ -278,13 +331,18 @@ std::vector<uint64_t> BlockCache::DirtyFiles() const {
 void BlockCache::ForEachDirtyBlock(
     uint64_t file, const std::function<void(int64_t block, int64_t extent)>& fn) const {
   auto fit = files_.find(file);
-  if (fit == files_.end() || fit->second.dirty_count == 0) {
+  if (fit == files_.end() || fit->second.dirty.empty()) {
     return;
   }
-  for (const auto& [index, entry] : fit->second.blocks) {
-    if (entry->dirty) {
-      fn(index, entry->dirty_extent);
-    }
+  // A sorted copy: the dirty list is unordered, and `fn` may re-enter.
+  std::vector<std::pair<int64_t, int64_t>> blocks;
+  blocks.reserve(fit->second.dirty.size());
+  for (const Entry* entry : fit->second.dirty) {
+    blocks.emplace_back(entry->key.index, entry->dirty_extent);
+  }
+  std::sort(blocks.begin(), blocks.end());
+  for (const auto& [block, extent] : blocks) {
+    fn(block, extent);
   }
 }
 
@@ -295,39 +353,15 @@ uint64_t BlockCache::CachedVersion(uint64_t file) const {
 
 int64_t BlockCache::DropFile(uint64_t file, SimTime now) {
   (void)now;
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
-    return 0;
-  }
-  int64_t dropped = 0;
-  // Copy: EraseEntry mutates the block vector. Ascending order, matching
-  // the old per-file index set.
-  const std::vector<std::pair<int64_t, Entry*>> blocks = fit->second.blocks;
-  for (const auto& [index, entry] : blocks) {
-    if (entry->dirty) {
-      dropped += entry->dirty_extent;
-    }
-    EraseEntry(entry);
-  }
-  files_.erase(file);
-  return dropped;
+  return EraseFile(file);
 }
 
 void BlockCache::InvalidateFile(uint64_t file, SimTime now) {
   (void)now;
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
-    return;
+  const int64_t cancelled = EraseFile(file);
+  if (counters_ != nullptr) {
+    counters_->bytes_cancelled_before_writeback += cancelled;
   }
-  // Copy: EraseEntry mutates the block vector.
-  const std::vector<std::pair<int64_t, Entry*>> blocks = fit->second.blocks;
-  for (const auto& [index, entry] : blocks) {
-    if (entry->dirty && counters_ != nullptr) {
-      counters_->bytes_cancelled_before_writeback += entry->dirty_extent;
-    }
-    EraseEntry(entry);
-  }
-  files_.erase(file);
 }
 
 SimDuration BlockCache::LruAge(SimTime now) const {
@@ -353,17 +387,23 @@ void BlockCache::DemoteToLruTail(BlockKey key) {
 }
 
 std::pair<int64_t, int64_t> BlockCache::CrashReset(const WritebackFn& nvram_recovery) {
+  // Ascending (file, block) order, so NVRAM recovery RPCs go out in an order
+  // that does not depend on hash-table internals. A copy: the recovery
+  // writebacks may re-enter the cache.
+  std::vector<std::pair<BlockKey, int64_t>> dirty;
+  for (uint64_t file : dirty_files_) {
+    ForEachDirtyBlock(file, [&dirty, file](int64_t block, int64_t extent) {
+      dirty.emplace_back(BlockKey{file, block}, extent);
+    });
+  }
   int64_t lost = 0;
   int64_t recovered = 0;
-  for (auto& [key, entry] : entries_) {
-    if (!entry.dirty) {
-      continue;
-    }
+  for (const auto& [key, extent] : dirty) {
     if (nvram_recovery) {
-      nvram_recovery(key, entry.dirty_extent);
-      recovered += entry.dirty_extent;
+      nvram_recovery(key, extent);
+      recovered += extent;
     } else {
-      lost += entry.dirty_extent;
+      lost += extent;
     }
   }
   entries_.clear();
@@ -371,6 +411,7 @@ std::pair<int64_t, int64_t> BlockCache::CrashReset(const WritebackFn& nvram_reco
   lru_tail_ = nullptr;
   files_.clear();
   dirty_files_.clear();
+  ++erase_count_;
   limit_blocks_ = config_.min_blocks;
   return {lost, recovered};
 }

@@ -15,12 +15,21 @@
 //     server reports a newer version at open time.
 //
 // Hot-path layout: the LRU chain is intrusive (prev/next pointers embedded
-// in the map entries — no separate std::list of keys), the per-file block
-// index is a sorted vector inside one FileState per file (no per-block
-// tree nodes), and files with dirty blocks are tracked in a small ordered
-// set so the 5-second cleaner daemon scans only dirty files instead of the
-// whole cache. A 128-MB server cache holds ~32K blocks; scanning all of
-// them every 5 simulated seconds used to dominate the simulator's CPU.
+// in the map entries — no separate std::list of keys). Each file's blocks
+// live in two unordered vectors inside one FileState: every resident block,
+// and the dirty ones only. Each entry stores its slot in both, so inserting,
+// evicting, dirtying and cleaning a block are O(1) swap-removes no matter
+// how many blocks the file holds (files reach 3072 blocks). Block order is
+// established only when it matters: a flush sorts the file's dirty list,
+// so writebacks still go out in ascending block order. Files with dirty
+// blocks are tracked in a small ordered set, so the 5-second cleaner looks
+// only at dirty blocks of dirty files instead of the whole cache.
+//
+// Writeback callbacks may re-enter the cache: crash recovery runs nested
+// inside whichever RPC sees a server reboot, including a writeback, and can
+// drop the very file being flushed. Every erasure bumps a counter, so a
+// flush compares one integer after each writeback call and re-validates
+// its position only when blocks actually vanished.
 
 #ifndef SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
 #define SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
@@ -94,12 +103,16 @@ class BlockCache {
 
   // --- Cleaning ------------------------------------------------------------
   // The 5-second daemon scan: writes back every dirty block belonging to any
-  // file that has at least one block dirty for >= writeback_delay.
-  // Returns the number of blocks cleaned.
+  // file that has at least one block dirty for >= writeback_delay, file by
+  // file in ascending id order, each file's blocks in ascending block order.
+  // Each block turns clean right after its own writeback call, so inside
+  // the callback HasDirtyBlocks/DirtyBytes/DirtyFiles still count the block
+  // being written and every block after it. Returns the blocks cleaned.
   int64_t CleanAged(SimTime now, WritebackFn writeback);
 
   // Cleans all dirty blocks of `file` for the given reason (fsync, server
-  // recall). Returns bytes written back.
+  // recall), in ascending block order with the same per-block visibility as
+  // CleanAged. Returns bytes written back.
   int64_t CleanFile(uint64_t file, SimTime now, CleanReason reason, WritebackFn writeback);
 
   // True if `file` has any dirty block.
@@ -167,8 +180,8 @@ class BlockCache {
   // Simulates a machine crash + reboot. Every block is dropped and the
   // limit returns to the minimum (rebooted caches start small). Dirty data
   // is LOST unless `nvram_recovery` is provided, in which case it is pushed
-  // through it (non-volatile cache memory surviving the crash). Returns
-  // {lost_bytes, recovered_bytes}.
+  // through it (non-volatile cache memory surviving the crash) in ascending
+  // (file, block) order. Returns {lost_bytes, recovered_bytes}.
   std::pair<int64_t, int64_t> CrashReset(const WritebackFn& nvram_recovery);
 
   const CacheConfig& config() const { return config_; }
@@ -177,8 +190,6 @@ class BlockCache {
   struct Entry {
     BlockKey key;  // embedded: the intrusive LRU chain needs no key list
     SimTime last_ref = 0;
-    bool prefetched = false;  // inserted by readahead, not yet demanded
-    bool dirty = false;
     SimTime dirty_since = 0;   // first write after last clean
     int64_t dirty_extent = 0;  // bytes from block start covered by writeback
     // Intrusive LRU links (head = most recent, tail = least recent).
@@ -186,32 +197,54 @@ class BlockCache {
     // inserts and erases.
     Entry* lru_prev = nullptr;
     Entry* lru_next = nullptr;
+    // This entry's index in its FileState's `blocks`, and in `dirty` while
+    // dirty: swap-removal needs no search.
+    uint32_t block_slot = 0;
+    uint32_t dirty_slot = 0;
+    bool prefetched = false;  // inserted by readahead, not yet demanded
+    bool dirty = false;
   };
 
-  // All per-file state in one node: the resident blocks (sorted by index —
-  // the order CleanAged/CleanFile must visit them in), the cached version
-  // (0 = unknown; real server versions start at 1), and a dirty-block count
-  // so cleaners can skip fully clean files without touching their blocks.
+  // All per-file state in one node: the resident blocks, the dirty subset
+  // (both unordered; a flush sorts `dirty`), and the cached version (0 =
+  // unknown; real server versions start at 1).
   struct FileState {
-    std::vector<std::pair<int64_t, Entry*>> blocks;  // sorted by block index
+    std::vector<Entry*> blocks;
+    std::vector<Entry*> dirty;
     uint64_t version = 0;
-    int64_t dirty_count = 0;
   };
+
+  // Appends `entry` to `list` / swap-removes it, keeping `entry->*slot`
+  // (and the moved entry's) equal to the entry's index in `list`.
+  static void PushSlot(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry);
+  static void SwapRemove(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry);
+  // Orders a dirty list for a flush: descending block index, so the flush
+  // takes the lowest block off the back and each MarkClean is a pop_back.
+  static void SortForFlush(std::vector<Entry*>& dirty);
 
   void LruUnlink(Entry* entry);
   void LruPushFront(Entry* entry);
   void LruPushBack(Entry* entry);
   void TouchLru(Entry* entry, SimTime now);
-  // Dirty-flag transitions route through these so the per-file counts and
-  // the dirty-file set stay exact.
+  // Dirty-flag transitions route through these so the per-file dirty lists
+  // and the dirty-file set stay exact.
   void MarkDirty(Entry* entry, SimTime now);
   void MarkClean(Entry* entry);
-  // Writes the block back (if dirty) and erases it. `reason` applies when
-  // dirty.
+  // Writes the block back (if dirty) and erases it, unless the writeback
+  // call itself erased it. `reason` applies when dirty.
   void EvictBlock(Entry* entry, SimTime now, CleanReason reason,
                   ReplaceReason replace_reason, const WritebackFn& writeback);
-  void CleanBlock(Entry* entry, SimTime now, CleanReason reason, const WritebackFn& writeback);
+  // Writes a dirty block back, then marks it clean. Returns the entry, or
+  // nullptr if the writeback call re-entered the cache and erased it.
+  Entry* CleanBlock(Entry* entry, SimTime now, CleanReason reason, const WritebackFn& writeback);
+  // Writes back every dirty block of `file` in ascending block order.
+  // Returns {blocks, bytes} written.
+  std::pair<int64_t, int64_t> FlushFile(uint64_t file, SimTime now, CleanReason reason,
+                                        const WritebackFn& writeback);
   void EraseEntry(Entry* entry);
+  // Erases every block of `file` and its FileState. Returns the dirty bytes
+  // that were resident.
+  int64_t EraseFile(uint64_t file);
 
   CacheConfig config_;
   CacheCounters* counters_;
@@ -220,13 +253,16 @@ class BlockCache {
   std::unordered_map<BlockKey, Entry, BlockKeyHash> entries_;
   Entry* lru_head_ = nullptr;  // most recent
   Entry* lru_tail_ = nullptr;  // least recent
-  // file -> blocks/version/dirty count. An entry outlives its blocks only
-  // while it still carries a known version (the old separate version map
-  // behaved the same way).
+  // file -> blocks/dirty blocks/version. An entry outlives its blocks only
+  // while it still carries a known version.
   std::unordered_map<uint64_t, FileState> files_;
-  // Files with dirty_count > 0, ascending. Small (bounded by the 30-second
-  // write-back horizon), and gives cleaners their deterministic file order.
+  // Files with a non-empty dirty list, ascending. Small (bounded by the
+  // 30-second write-back horizon), and gives cleaners their deterministic
+  // file order.
   std::set<uint64_t> dirty_files_;
+  // Bumped by every erasure of blocks or FileStates. A flush compares it
+  // across each writeback call to detect re-entrant erasure.
+  uint64_t erase_count_ = 0;
 };
 
 }  // namespace sprite

@@ -269,7 +269,7 @@ SimDuration Client::Read(HandleId handle, int64_t bytes, SimTime now) {
           }
           if (obs_->tracing_enabled()) {
             obs_->tracer().Emit("cache.miss-fill", "cache", ClientTrack(id_), now, fetch,
-                                {{"file", of.file}, {"block", b}});
+                                {{"file", static_cast<int64_t>(of.file)}, {"block", b}});
           }
         }
         if (!bypass) {
@@ -350,7 +350,7 @@ SimDuration Client::Write(HandleId handle, int64_t bytes, SimTime now) {
           }
           if (obs_->tracing_enabled()) {
             obs_->tracer().Emit("cache.write-fetch", "cache", ClientTrack(id_), now, fetch,
-                                {{"file", of.file}, {"block", b}});
+                                {{"file", static_cast<int64_t>(of.file)}, {"block", b}});
           }
         }
         EnsureCacheRoom(now);
@@ -812,7 +812,7 @@ void Client::RecallDirtyData(FileId file, SimTime now) {
     }
     if (obs_->tracing_enabled()) {
       obs_->tracer().Emit("consistency.recall-dirty", "consistency", ClientTrack(id_), now,
-                          write_time, {{"file", file}, {"blocks", blocks}});
+                          write_time, {{"file", static_cast<int64_t>(file)}, {"blocks", blocks}});
     }
   }
 }
@@ -831,7 +831,7 @@ void Client::DisableCaching(FileId file, SimTime now) {
   }
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("consistency.cache-disable", "consistency", ClientTrack(id_), now, 0,
-                        {{"file", file}});
+                        {{"file", static_cast<int64_t>(file)}});
   }
 }
 
@@ -845,7 +845,7 @@ void Client::EnableCaching(FileId file, SimTime now) {
   }
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("consistency.cache-enable", "consistency", ClientTrack(id_), now, 0,
-                        {{"file", file}});
+                        {{"file", static_cast<int64_t>(file)}});
   }
 }
 
@@ -859,7 +859,7 @@ void Client::RecallToken(FileId file, SimTime now, bool invalidate) {
   }
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("consistency.token-recall", "consistency", ClientTrack(id_), now, 0,
-                        {{"file", file}, {"invalidate", invalidate ? 1 : 0}});
+                        {{"file", static_cast<int64_t>(file)}, {"invalidate", invalidate ? 1 : 0}});
   }
 }
 
@@ -870,7 +870,7 @@ void Client::DiscardFile(FileId file, SimTime now) {
   }
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("consistency.discard", "consistency", ClientTrack(id_), now, 0,
-                        {{"file", file}});
+                        {{"file", static_cast<int64_t>(file)}});
   }
 }
 

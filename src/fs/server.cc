@@ -466,7 +466,9 @@ SimDuration Server::FetchBlock(FileId file, int64_t block, bool paging, SimTime 
   const SimDuration disk_time = TouchServerCache(file, block, /*write=*/false, kBlockSize, now);
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("server.fetch-block", "server", ServerTrack(id_), now, disk_time,
-                        {{"file", file}, {"block", block}, {"paging", paging ? 1 : 0}});
+                        {{"file", static_cast<int64_t>(file)},
+                         {"block", block},
+                         {"paging", paging ? 1 : 0}});
   }
   return disk_time;
 }
@@ -481,7 +483,9 @@ SimDuration Server::Writeback(FileId file, int64_t block, int64_t bytes, bool pa
   TouchServerCache(file, block, /*write=*/true, bytes, now);
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("server.writeback", "server", ServerTrack(id_), now, 0,
-                        {{"file", file}, {"block", block}, {"bytes", bytes},
+                        {{"file", static_cast<int64_t>(file)},
+                         {"block", block},
+                         {"bytes", bytes},
                          {"paging", paging ? 1 : 0}});
   }
   FileMeta& meta = EnsureFile(file);
@@ -684,12 +688,8 @@ void Server::ShadowClose(ClientId client, FileId file, OpenMode mode, bool wrote
 void Server::ShadowWriteback(FileId file, int64_t block, int64_t bytes) {
   ShadowFile& sf = shadow_[file];
   const int64_t extent = std::min<int64_t>(bytes, kBlockSize);
-  auto it = std::lower_bound(
-      sf.dirty.begin(), sf.dirty.end(), block,
-      [](const std::pair<int64_t, int64_t>& p, int64_t b) { return p.first < b; });
-  if (it == sf.dirty.end() || it->first != block) {
-    sf.dirty.insert(it, {block, extent});
-  } else {
+  auto [it, inserted] = sf.dirty.try_emplace(block, extent);
+  if (!inserted) {
     it->second = std::max(it->second, extent);
   }
 }
@@ -704,12 +704,7 @@ void Server::ShadowBlockClean(FileId file, int64_t block) {
     return;
   }
   ShadowFile& sf = sit->second;
-  for (auto it = sf.dirty.begin(); it != sf.dirty.end(); ++it) {
-    if (it->first == block) {
-      sf.dirty.erase(it);
-      break;
-    }
-  }
+  sf.dirty.erase(block);
   if (sf.empty()) {
     shadow_.erase(sit);
   }
@@ -809,7 +804,7 @@ void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(Fi
     }
     sf.last_writer = meta.last_writer;
     primary.cache_.ForEachDirtyBlock(file, [&sf](int64_t block, int64_t extent) {
-      sf.dirty.push_back({block, extent});
+      sf.dirty.emplace_hint(sf.dirty.end(), block, extent);
     });
     if (!sf.empty()) {
       shadow_[file] = std::move(sf);

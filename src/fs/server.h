@@ -367,7 +367,11 @@ class Server {
 
   // One file's shadow (standby role): mirrored opens (sorted by client id,
   // like OpenState::opens), the mirrored last writer, and the primary-cache
-  // dirty extents by block index (sorted).
+  // dirty extents by block index. `dirty` is an ordered map, not a sorted
+  // vector: the primary flushes a file's blocks in ascending order, so
+  // ShadowBlockClean always drops the lowest extent, and erasing a vector's
+  // front would shift the rest (files reach 3072 blocks). Ascending
+  // iteration keeps the fail-over replay deterministic.
   struct ShadowOpenEntry {
     ClientId client = 0;
     int readers = 0;
@@ -376,7 +380,7 @@ class Server {
   struct ShadowFile {
     std::vector<ShadowOpenEntry> opens;       // sorted by client
     std::optional<ClientId> last_writer;
-    std::vector<std::pair<int64_t, int64_t>> dirty;  // (block, extent), sorted
+    std::map<int64_t, int64_t> dirty;         // block -> extent
     bool empty() const { return opens.empty() && !last_writer.has_value() && dirty.empty(); }
   };
 

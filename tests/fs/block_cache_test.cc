@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 namespace sprite {
@@ -242,6 +243,173 @@ TEST_F(BlockCacheTest, WritebackBytesCounted) {
   cache.Write({1, 1}, 0, kBlockSize, Sink());
   cache.CleanAged(30 * kSecond, Sink());
   EXPECT_EQ(counters_.bytes_written_to_server, 1000 + kBlockSize);
+}
+
+// --- Flush order and per-block visibility ------------------------------------
+
+// Dirty blocks of file 1 written in scrambled order, then blocks 7 and 2
+// evicted (their dirty-list slots swap-removed, so no accidental order
+// survives). Leaves kRemaining dirty, each with extent 100 + block.
+constexpr int64_t kScrambled[] = {7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
+const std::vector<int64_t> kRemaining = {0, 1, 3, 4, 5, 6, 8, 9};
+
+class FlushOrderTest : public BlockCacheTest {
+ protected:
+  void Populate(BlockCache& cache) {
+    cache.set_limit_blocks(10);
+    SimTime t = 0;
+    for (int64_t b : kScrambled) {
+      cache.Write({1, b}, t++, 100 + b, Sink());
+    }
+    cache.DemoteToLruTail({1, 2});
+    cache.DemoteToLruTail({1, 7});
+    cache.InsertClean({2, 0}, t++, Sink());
+    cache.InsertClean({2, 1}, t++, Sink());
+    ASSERT_EQ(writebacks_.size(), 2u);
+    EXPECT_EQ(writebacks_[0].first, (BlockKey{1, 7}));  // demoted last: the LRU tail
+    EXPECT_EQ(writebacks_[1].first, (BlockKey{1, 2}));
+    writebacks_.clear();
+  }
+
+  std::vector<int64_t> WrittenBlocks() const {
+    std::vector<int64_t> blocks;
+    for (const auto& [key, bytes] : writebacks_) {
+      EXPECT_EQ(key.file, 1u);
+      EXPECT_EQ(bytes, 100 + key.index);
+      blocks.push_back(key.index);
+    }
+    return blocks;
+  }
+};
+
+TEST_F(FlushOrderTest, CleanFileWritesAscending) {
+  BlockCache cache(SmallConfig(16), &counters_);
+  Populate(cache);
+  cache.CleanFile(1, kMinute, CleanReason::kFsync, Sink());
+  EXPECT_EQ(WrittenBlocks(), kRemaining);
+}
+
+TEST_F(FlushOrderTest, CleanAgedWritesAscending) {
+  BlockCache cache(SmallConfig(16), &counters_);
+  Populate(cache);
+  EXPECT_EQ(cache.CleanAged(kMinute, Sink()), static_cast<int64_t>(kRemaining.size()));
+  EXPECT_EQ(WrittenBlocks(), kRemaining);
+}
+
+TEST_F(FlushOrderTest, ForEachDirtyBlockVisitsAscending) {
+  BlockCache cache(SmallConfig(16), &counters_);
+  Populate(cache);
+  cache.ForEachDirtyBlock(1, [this](int64_t block, int64_t extent) {
+    writebacks_.emplace_back(BlockKey{1, block}, extent);
+  });
+  EXPECT_EQ(WrittenBlocks(), kRemaining);
+  EXPECT_TRUE(cache.HasDirtyBlocks(1)) << "visiting must not clean";
+}
+
+TEST_F(FlushOrderTest, CallbackSeesExactlyTheUnwrittenBlocks) {
+  // Each block turns clean right after its own writeback call: inside the
+  // callback the block being written and every later one still count.
+  BlockCache cache(SmallConfig(16), &counters_);
+  Populate(cache);
+  cache.set_limit_blocks(16);
+  cache.Write({3, 0}, 0, 10, Sink());  // another dirty file, not flushed
+  std::vector<int64_t> left = kRemaining;
+  cache.CleanFile(1, kMinute, CleanReason::kFsync, [&](BlockKey key, int64_t) {
+    ASSERT_EQ(key.index, left.front());
+    const int64_t unwritten =
+        std::accumulate(left.begin(), left.end(), int64_t{0},
+                        [](int64_t sum, int64_t b) { return sum + 100 + b; });
+    EXPECT_EQ(cache.DirtyBytes(1), unwritten);
+    EXPECT_TRUE(cache.HasDirtyBlocks(1));
+    EXPECT_EQ(cache.DirtyFiles(), (std::vector<uint64_t>{1, 3}));
+    left.erase(left.begin());
+  });
+  EXPECT_TRUE(left.empty());
+  EXPECT_FALSE(cache.HasDirtyBlocks(1));
+  EXPECT_EQ(cache.DirtyBytes(1), 0);
+  EXPECT_EQ(cache.DirtyFiles(), (std::vector<uint64_t>{3}));
+}
+
+TEST_F(BlockCacheTest, CrashResetReplaysNvramInAscendingOrder) {
+  BlockCache cache(SmallConfig(16), &counters_);
+  cache.set_limit_blocks(16);
+  const BlockKey scrambled[] = {{9, 3}, {2, 5}, {9, 0}, {2, 1}, {4, 7}, {2, 3}};
+  for (const BlockKey& key : scrambled) {
+    cache.Write(key, 0, 10 * key.index + 1, Sink());
+  }
+  cache.InsertClean({5, 0}, 1, Sink());
+  const auto [lost, recovered] = cache.CrashReset(Sink());
+  EXPECT_EQ(lost, 0);
+  const std::vector<std::pair<BlockKey, int64_t>> expected = {
+      {{2, 1}, 11}, {{2, 3}, 31}, {{2, 5}, 51}, {{4, 7}, 71}, {{9, 0}, 1}, {{9, 3}, 31}};
+  EXPECT_EQ(writebacks_, expected);
+  EXPECT_EQ(recovered, 11 + 31 + 51 + 71 + 1 + 31);
+  EXPECT_EQ(cache.block_count(), 0);
+  EXPECT_TRUE(cache.DirtyFiles().empty());
+}
+
+// --- Re-entrant writeback callbacks --------------------------------------------
+// Crash recovery runs nested inside whichever RPC sees a server reboot,
+// including a writeback, and may drop or invalidate the file being flushed.
+
+TEST_F(BlockCacheTest, CleanFileSurvivesWritebackThatDropsTheFile) {
+  BlockCache cache(SmallConfig(16), &counters_);
+  cache.set_limit_blocks(16);
+  for (int64_t b = 0; b < 4; ++b) {
+    cache.Write({1, b}, 0, 100, Sink());
+  }
+  int64_t dropped = 0;
+  const int64_t bytes = cache.CleanFile(1, 1, CleanReason::kFsync, [&](BlockKey key, int64_t n) {
+    writebacks_.emplace_back(key, n);
+    dropped += cache.DropFile(1, 1);
+  });
+  ASSERT_EQ(writebacks_.size(), 1u) << "blocks dropped mid-flush are not written";
+  EXPECT_EQ(writebacks_[0].first, (BlockKey{1, 0}));
+  EXPECT_EQ(bytes, 100);
+  EXPECT_EQ(dropped, 400) << "the block under writeback is still dirty inside its callback";
+  EXPECT_EQ(cache.block_count(), 0);
+  EXPECT_FALSE(cache.HasDirtyBlocks(1));
+  EXPECT_TRUE(cache.DirtyFiles().empty());
+}
+
+TEST_F(BlockCacheTest, CleanAgedSurvivesWritebackThatDropsTheFile) {
+  BlockCache cache(SmallConfig(16), &counters_);
+  cache.set_limit_blocks(16);
+  for (int64_t b = 0; b < 3; ++b) {
+    cache.Write({1, b}, 0, 100, Sink());
+    cache.Write({2, b}, 0, 200, Sink());
+  }
+  const int64_t cleaned = cache.CleanAged(kMinute, [&](BlockKey key, int64_t n) {
+    writebacks_.emplace_back(key, n);
+    if (key == BlockKey{1, 1}) {
+      cache.InvalidateFile(1, kMinute);
+    }
+  });
+  const std::vector<std::pair<BlockKey, int64_t>> expected = {
+      {{1, 0}, 100}, {{1, 1}, 100}, {{2, 0}, 200}, {{2, 1}, 200}, {{2, 2}, 200}};
+  EXPECT_EQ(writebacks_, expected) << "the other due file still flushes in order";
+  EXPECT_EQ(cleaned, 5);
+  EXPECT_EQ(counters_.bytes_cancelled_before_writeback, 200);
+  EXPECT_EQ(cache.block_count(), 3);
+  EXPECT_TRUE(cache.DirtyFiles().empty());
+}
+
+TEST_F(BlockCacheTest, DirtyVictimEvictionSurvivesWritebackThatDropsTheFile) {
+  BlockCache cache(SmallConfig(), &counters_);
+  cache.set_limit_blocks(2);
+  cache.Write({1, 0}, 0, 100, Sink());
+  cache.Write({1, 1}, 1, 100, Sink());
+  cache.InsertClean({2, 0}, 2, [&](BlockKey key, int64_t n) {
+    writebacks_.emplace_back(key, n);
+    cache.DropFile(1, 2);
+  });
+  ASSERT_EQ(writebacks_.size(), 1u);
+  EXPECT_EQ(writebacks_[0].first, (BlockKey{1, 0}));
+  EXPECT_EQ(counters_.cleaned[static_cast<int>(CleanReason::kReplacement)], 1);
+  EXPECT_EQ(counters_.replaced_for_file, 0) << "a dropped victim was not replaced";
+  EXPECT_TRUE(cache.Contains({2, 0}));
+  EXPECT_EQ(cache.block_count(), 1);
+  EXPECT_TRUE(cache.DirtyFiles().empty());
 }
 
 }  // namespace

@@ -40,6 +40,13 @@ struct AsyncRig {
   Server server;
 };
 
+ObservabilityConfig MetricsOnly() {
+  ObservabilityConfig config;
+  config.metrics = true;
+  config.snapshot_interval = kMinute;
+  return config;
+}
+
 TEST(RpcAsyncTest, ConcurrentCallsOverlapAndTheSecondQueues) {
   AsyncRig rig(AsyncRpcConfig());
   const SimDuration net = Network{NetworkConfig{}}.RpcTime(kBlockSize);
@@ -63,7 +70,7 @@ TEST(RpcAsyncTest, ConcurrentCallsOverlapAndTheSecondQueues) {
 }
 
 TEST(RpcAsyncTest, QueueWaitIsRecordedForTheSecondArrivalOnly) {
-  Observability obs(ObservabilityConfig{/*metrics=*/true, /*tracing=*/false, kMinute});
+  Observability obs(MetricsOnly());
   AsyncRig rig(AsyncRpcConfig());
   rig.server.AttachObservability(&obs);
   rig.transport.Call(RpcKind::kReadBlock, 0, 0, kBlockSize, 0);
@@ -78,7 +85,7 @@ TEST(RpcAsyncTest, QueueWaitIsRecordedForTheSecondArrivalOnly) {
 }
 
 TEST(RpcAsyncTest, SerialClientNeverQueuesBehindItself) {
-  Observability obs(ObservabilityConfig{/*metrics=*/true, /*tracing=*/false, kMinute});
+  Observability obs(MetricsOnly());
   AsyncRig rig(AsyncRpcConfig());
   rig.server.AttachObservability(&obs);
 

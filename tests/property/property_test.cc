@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <numeric>
+#include <ostream>
 #include <set>
 
 #include "src/consistency/overhead.h"
@@ -63,13 +67,193 @@ TEST_P(CacheSizeProperty, PopulationNeverExceedsLimitAndLruHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Limits, CacheSizeProperty, ::testing::Values(1, 2, 3, 8, 64, 1024));
 
+// ---------- BlockCache: flush order and dirty state vs a reference map -------
+
+// Random inserts, writes, evictions, VM trades, invalidations, cleaner ticks
+// and flushes over a few files, checked against a reference map of the
+// dirty blocks: every flush writes exactly the due blocks in ascending
+// (file, block) order, and at every writeback call DirtyBytes/DirtyFiles
+// show exactly the blocks not yet written (the block being written still
+// counts).
+class CacheFlushProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CacheFlushProperty, FlushesAscendAndDirtyStateMatchesReference) {
+  constexpr uint64_t kFiles = 5;
+  constexpr int64_t kMaxLimit = 40;
+  CacheConfig config;
+  config.min_blocks = 1;
+  config.max_blocks = kMaxLimit;
+  CacheCounters counters;
+  BlockCache cache(config, &counters);
+  cache.set_limit_blocks(kMaxLimit);
+  Rng rng(GetParam());
+
+  struct Dirty {
+    int64_t extent;
+    SimTime since;
+  };
+  std::map<std::pair<uint64_t, int64_t>, Dirty> ref;  // (file, block) -> dirty block
+  auto ref_bytes = [&ref](uint64_t file) {
+    int64_t bytes = 0;
+    for (auto it = ref.lower_bound({file, 0}); it != ref.end() && it->first.first == file; ++it) {
+      bytes += it->second.extent;
+    }
+    return bytes;
+  };
+  auto ref_files = [&ref] {
+    std::vector<uint64_t> files;
+    for (const auto& [key, dirty] : ref) {
+      if (files.empty() || files.back() != key.first) {
+        files.push_back(key.first);
+      }
+    }
+    return files;
+  };
+  auto ref_blocks = [&ref](uint64_t file) {
+    std::vector<std::pair<uint64_t, int64_t>> blocks;
+    for (auto it = ref.lower_bound({file, 0}); it != ref.end() && it->first.first == file; ++it) {
+      blocks.push_back(it->first);
+    }
+    return blocks;
+  };
+
+  std::vector<std::pair<uint64_t, int64_t>> written;  // this op's writebacks
+  bool crashing = false;  // NVRAM replay runs before the reset drops anything
+  BlockCache::WritebackFn sink = [&](BlockKey key, int64_t bytes) {
+    auto it = ref.find({key.file, key.index});
+    ASSERT_NE(it, ref.end()) << "only dirty blocks are written back";
+    EXPECT_EQ(bytes, it->second.extent);
+    if (!crashing) {
+      EXPECT_EQ(cache.DirtyBytes(key.file), ref_bytes(key.file));
+      EXPECT_EQ(cache.DirtyFiles(), ref_files());
+    }
+    ref.erase(it);
+    written.emplace_back(key.file, key.index);
+  };
+
+  SimTime now = 0;
+  for (int step = 0; step < 3000; ++step) {
+    now += static_cast<SimTime>(rng.NextBelow(3)) * kSecond;
+    const uint64_t file = rng.NextBelow(kFiles);
+    const BlockKey key{file, static_cast<int64_t>(rng.NextBelow(24))};
+    std::vector<std::pair<uint64_t, int64_t>> expected;  // for flushes only
+    bool flush = false;
+    written.clear();
+    switch (rng.NextBelow(12)) {
+      case 0:
+      case 1:
+      case 2: {
+        const int64_t end = 1 + static_cast<int64_t>(rng.NextBelow(kBlockSize + kBlockSize / 4));
+        cache.Write(key, now, end, sink);
+        const int64_t clamped = std::min<int64_t>(end, kBlockSize);
+        auto [it, inserted] = ref.try_emplace({key.file, key.index}, Dirty{clamped, now});
+        if (!inserted) {
+          it->second.extent = std::max(it->second.extent, clamped);
+        }
+        break;
+      }
+      case 3:
+        cache.InsertClean(key, now, sink);
+        break;
+      case 4:
+        cache.Lookup(key, now);
+        cache.InsertPrefetched({key.file, key.index + 1}, now, sink);
+        break;
+      case 5:
+        flush = true;
+        for (uint64_t f : ref_files()) {
+          const auto blocks = ref_blocks(f);
+          const bool due = std::any_of(blocks.begin(), blocks.end(), [&](const auto& b) {
+            return now - ref.at(b).since >= config.writeback_delay;
+          });
+          if (due) {
+            expected.insert(expected.end(), blocks.begin(), blocks.end());
+          }
+        }
+        EXPECT_EQ(cache.CleanAged(now, sink), static_cast<int64_t>(expected.size()));
+        break;
+      case 6: {
+        flush = true;
+        expected = ref_blocks(file);
+        const int64_t bytes = ref_bytes(file);
+        EXPECT_EQ(cache.CleanFile(file, now, CleanReason::kFsync, sink), bytes);
+        break;
+      }
+      case 7: {
+        std::vector<std::pair<uint64_t, int64_t>> visited;
+        cache.ForEachDirtyBlock(file, [&](int64_t block, int64_t extent) {
+          EXPECT_EQ(extent, ref.at({file, block}).extent);
+          visited.emplace_back(file, block);
+        });
+        EXPECT_EQ(visited, ref_blocks(file));
+        break;
+      }
+      case 8:
+        if (rng.NextBool(0.5)) {
+          EXPECT_EQ(cache.DropFile(file, now), ref_bytes(file));
+        } else {
+          cache.InvalidateFile(file, now);
+        }
+        for (const auto& block : ref_blocks(file)) {
+          ref.erase(block);
+        }
+        break;
+      case 9:
+        if (cache.ReleaseLruToVm(now, sink)) {
+          cache.GrantPageFromVm();
+        }
+        cache.DemoteToLruTail(key);
+        break;
+      case 10:
+        cache.set_limit_blocks(8 + static_cast<int64_t>(rng.NextBelow(kMaxLimit - 7)));
+        break;
+      case 11:
+        if (rng.NextBool(0.05)) {
+          flush = true;
+          for (const auto& [block, dirty] : ref) {
+            expected.push_back(block);
+          }
+          const int64_t bytes = std::accumulate(
+              ref.begin(), ref.end(), int64_t{0},
+              [](int64_t sum, const auto& kv) { return sum + kv.second.extent; });
+          crashing = true;
+          const auto [lost, recovered] = cache.CrashReset(sink);
+          crashing = false;
+          EXPECT_EQ(lost, 0);
+          EXPECT_EQ(recovered, bytes);
+          cache.set_limit_blocks(kMaxLimit);
+        }
+        break;
+    }
+    if (flush) {
+      ASSERT_EQ(written, expected) << "step " << step;
+    }
+    ASSERT_EQ(cache.DirtyFiles(), ref_files()) << "step " << step;
+    for (uint64_t f = 0; f < kFiles; ++f) {
+      ASSERT_EQ(cache.DirtyBytes(f), ref_bytes(f)) << "file " << f << " step " << step;
+      ASSERT_EQ(cache.HasDirtyBlocks(f), ref_bytes(f) > 0);
+    }
+    ASSERT_LE(cache.block_count(), kMaxLimit);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CacheFlushProperty, ::testing::Values(1, 2, 3, 1991, 7777));
+
 // ---------- Distributions: CDF/quantile consistency across shapes -----------
 
-class DistributionProperty
-    : public ::testing::TestWithParam<std::shared_ptr<const Distribution>> {};
+// Each case prints as a fixed name, so test names that carry the parameter
+// value do not depend on where the distribution happens to be allocated.
+struct DistributionShape {
+  const char* name;
+  std::shared_ptr<const Distribution> dist;
+};
+
+void PrintTo(const DistributionShape& shape, std::ostream* os) { *os << shape.name; }
+
+class DistributionProperty : public ::testing::TestWithParam<DistributionShape> {};
 
 TEST_P(DistributionProperty, SamplesNonNegativeAndDeterministic) {
-  const Distribution& d = *GetParam();
+  const Distribution& d = *GetParam().dist;
   Rng a(7);
   Rng b(7);
   for (int i = 0; i < 2000; ++i) {
@@ -81,7 +265,7 @@ TEST_P(DistributionProperty, SamplesNonNegativeAndDeterministic) {
 }
 
 TEST_P(DistributionProperty, EmpiricalCdfMonotone) {
-  const Distribution& d = *GetParam();
+  const Distribution& d = *GetParam().dist;
   Rng rng(11);
   std::vector<double> samples(5000);
   for (double& s : samples) {
@@ -98,12 +282,14 @@ TEST_P(DistributionProperty, EmpiricalCdfMonotone) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DistributionProperty,
     ::testing::Values(
-        std::make_shared<UniformDistribution>(0.0, 100.0),
-        std::make_shared<ExponentialDistribution>(10.0),
-        std::make_shared<LogNormalDistribution>(1024.0, 2.0),
-        std::make_shared<BoundedParetoDistribution>(1.05, 1e3, 1e7),
-        std::make_shared<EmpiricalDistribution>(std::vector<EmpiricalDistribution::Point>{
-            {0.0, 0.0}, {10.0, 0.4}, {1000.0, 1.0}})));
+        DistributionShape{"Uniform", std::make_shared<UniformDistribution>(0.0, 100.0)},
+        DistributionShape{"Exponential", std::make_shared<ExponentialDistribution>(10.0)},
+        DistributionShape{"LogNormal", std::make_shared<LogNormalDistribution>(1024.0, 2.0)},
+        DistributionShape{"BoundedPareto",
+                          std::make_shared<BoundedParetoDistribution>(1.05, 1e3, 1e7)},
+        DistributionShape{"Empirical", std::make_shared<EmpiricalDistribution>(
+                                           std::vector<EmpiricalDistribution::Point>{
+                                               {0.0, 0.0}, {10.0, 0.4}, {1000.0, 1.0}})}));
 
 // ---------- Codec: round-trip across random logs ------------------------------
 
