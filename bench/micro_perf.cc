@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // substrate: cache operations, the trace codec, the event queue, the
-// distributions, and end-to-end workload generation throughput.
+// distributions, the RPC transport per wire mode, and end-to-end workload
+// generation throughput.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "src/fs/block_cache.h"
+#include "src/fs/rpc.h"
+#include "src/fs/server.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/codec.h"
 #include "src/util/distributions.h"
@@ -118,6 +123,62 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+// One RpcTransport::Call per iteration under each wire mode. Calls
+// alternate a block fetch with a getattr across 4 clients and 2 servers,
+// 10 ms apart: a getattr rides the fetch just before it when piggybacking,
+// and under batching it flushes its pair's previous batch, which has aged
+// out by the time the pair recurs 16 calls later. Async mode drains its
+// arrival/completion events every 1024 calls, which is part of what that
+// mode costs.
+struct TransportMode {
+  bool honest_wire = false;
+  bool batching = false;
+  bool contention = false;
+  bool async = false;
+};
+
+void BM_TransportCall(benchmark::State& state, TransportMode mode) {
+  NetworkConfig net;
+  net.contention = mode.contention;
+  RpcConfig rpc;
+  rpc.honest_wire = mode.honest_wire;
+  rpc.batching = mode.batching;
+  rpc.async = mode.async;
+  RpcTransport transport(net, rpc);
+  EventQueue queue;
+  std::vector<std::unique_ptr<Server>> servers;
+  if (mode.async) {
+    transport.BindEventQueue(&queue);
+    for (ServerId s = 0; s < 2; ++s) {
+      servers.push_back(
+          std::make_unique<Server>(s, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite));
+      servers.back()->EnableServiceQueue(rpc);
+      transport.RegisterServer(s, servers.back().get());
+    }
+  }
+  SimTime now = 0;
+  uint32_t i = 0;
+  for (auto _ : state) {
+    const bool fetch = (i & 1) == 0;
+    now += 10 * kMillisecond +
+           transport.Call(fetch ? RpcKind::kReadBlock : RpcKind::kGetAttr,
+                          static_cast<ClientId>((i >> 1) & 3), static_cast<ServerId>((i >> 3) & 1),
+                          fetch ? kBlockSize : 0, now);
+    ++i;
+    if (mode.async && (i & 1023) == 0) {
+      queue.RunUntil(now);
+    }
+  }
+  benchmark::DoNotOptimize(transport.ledger().TotalCalls());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TransportCall, free, TransportMode{});
+BENCHMARK_CAPTURE(BM_TransportCall, piggyback, TransportMode{.honest_wire = true});
+BENCHMARK_CAPTURE(BM_TransportCall, batch, TransportMode{.batching = true});
+BENCHMARK_CAPTURE(BM_TransportCall, batch_contention,
+                  TransportMode{.batching = true, .contention = true});
+BENCHMARK_CAPTURE(BM_TransportCall, async, TransportMode{.async = true});
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(10000, 0.8);

@@ -187,7 +187,66 @@ enum class RpcKind : uint8_t {
 };
 inline constexpr int kRpcKindCount = 26;
 
-const char* RpcKindName(RpcKind kind);
+// The server service lane a kind holds in async mode. A kind occupies the
+// wire exactly when it has a lane; kNone kinds are ledger-only by default.
+enum class RpcLane : uint8_t { kNone, kControl, kData };
+
+// Who issues a kind. Callbacks skip the client-side fault path; the shadow,
+// batch and migrate groups exist only in their opt-in modes, so their latency
+// recorders register only then.
+enum class RpcGroup : uint8_t { kPlain, kCallback, kShadow, kBatch, kMigrate };
+
+struct RpcKindInfo {
+  const char* name;
+  RpcLane lane;
+  RpcGroup group;
+
+  constexpr bool charges_network() const { return lane != RpcLane::kNone; }
+  constexpr bool callback() const { return group == RpcGroup::kCallback; }
+  // Deferrable into a wire batch: the ledger-only kinds plus the shadow
+  // stream, everything whose reply the caller never waits on.
+  constexpr bool batchable() const {
+    return lane == RpcLane::kNone || group == RpcGroup::kShadow;
+  }
+};
+
+// One row per RpcKind, in enum order: the only place a kind is classified.
+inline constexpr std::array<RpcKindInfo, kRpcKindCount> kRpcKinds = {{
+    {"open", RpcLane::kControl, RpcGroup::kPlain},
+    {"close", RpcLane::kControl, RpcGroup::kPlain},
+    {"create", RpcLane::kNone, RpcGroup::kPlain},
+    {"delete", RpcLane::kNone, RpcGroup::kPlain},
+    {"truncate", RpcLane::kNone, RpcGroup::kPlain},
+    {"getattr", RpcLane::kNone, RpcGroup::kPlain},
+    {"read-block", RpcLane::kData, RpcGroup::kPlain},
+    {"write-block", RpcLane::kData, RpcGroup::kPlain},
+    {"uncached-read", RpcLane::kData, RpcGroup::kPlain},
+    {"uncached-write", RpcLane::kData, RpcGroup::kPlain},
+    {"page-in", RpcLane::kData, RpcGroup::kPlain},
+    {"page-out", RpcLane::kData, RpcGroup::kPlain},
+    {"read-dir", RpcLane::kData, RpcGroup::kPlain},
+    {"reopen", RpcLane::kControl, RpcGroup::kPlain},
+    {"recall-dirty", RpcLane::kNone, RpcGroup::kCallback},
+    {"cache-disable", RpcLane::kNone, RpcGroup::kCallback},
+    {"cache-enable", RpcLane::kNone, RpcGroup::kCallback},
+    {"token-recall", RpcLane::kNone, RpcGroup::kCallback},
+    {"discard-file", RpcLane::kNone, RpcGroup::kCallback},
+    // Shadowing is a real wire message to the backup.
+    {"shadow-open", RpcLane::kControl, RpcGroup::kShadow},
+    {"shadow-close", RpcLane::kControl, RpcGroup::kShadow},
+    {"shadow-write", RpcLane::kData, RpcGroup::kShadow},
+    // One control-time request: its members never held the lane.
+    {"batch", RpcLane::kControl, RpcGroup::kBatch},
+    {"migrate-state", RpcLane::kControl, RpcGroup::kMigrate},
+    {"migrate-dirty", RpcLane::kData, RpcGroup::kMigrate},
+    {"migrate-commit", RpcLane::kControl, RpcGroup::kMigrate},
+}};
+static_assert(kRpcKinds.back().name != nullptr, "kRpcKinds is missing a row");
+
+constexpr const RpcKindInfo& RpcKindInfoOf(RpcKind kind) {
+  return kRpcKinds[static_cast<size_t>(kind)];
+}
+constexpr const char* RpcKindName(RpcKind kind) { return RpcKindInfoOf(kind).name; }
 
 // Accounting for one RPC kind (or one client/server when used in the
 // breakdown maps).

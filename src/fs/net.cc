@@ -15,20 +15,6 @@ SimDuration Network::RpcTime(int64_t payload_bytes) const {
   return config_.rpc_latency + TransferTime(payload_bytes);
 }
 
-SimDuration Network::Rpc(int64_t payload_bytes) {
-  ++rpc_count_;
-  bytes_carried_ += payload_bytes;
-  // Both terms occupy the shared medium: dropping the fixed overhead made
-  // Utilization() under-report on open/close-dominated workloads whose
-  // RPCs carry almost no payload. The transfer term is computed exactly
-  // once (TransferTime) so the returned latency and transfer_busy_time_
-  // can never drift under a rounding or bandwidth change.
-  const SimDuration transfer = TransferTime(payload_bytes);
-  overhead_busy_time_ += config_.rpc_latency;
-  transfer_busy_time_ += transfer;
-  return config_.rpc_latency + transfer;
-}
-
 Network::LinkState& Network::LinkFor(ClientId client, ServerId server) {
   if (static_cast<size_t>(client) >= links_.size()) {
     links_.resize(client + 1);
@@ -46,15 +32,22 @@ Network::LinkState& Network::LinkFor(ClientId client, ServerId server) {
 
 Network::WireOutcome Network::Transfer(ClientId client, ServerId server, int64_t payload_bytes,
                                        SimTime now) {
+  // Computed once, so the returned latency and transfer_busy_time_ can
+  // never drift under a rounding or bandwidth change.
+  const SimDuration transfer = TransferTime(payload_bytes);
   if (!config_.contention) {
+    // Analytic: one attempt, never queued; both terms occupy the medium.
+    ++rpc_count_;
+    bytes_carried_ += payload_bytes;
+    overhead_busy_time_ += config_.rpc_latency;
+    transfer_busy_time_ += transfer;
     WireOutcome out;
-    out.latency = Rpc(payload_bytes);
+    out.latency = config_.rpc_latency + transfer;
     return out;
   }
 
   ++transfer_seq_;
   LinkState& link = LinkFor(client, server);
-  const SimDuration transfer = TransferTime(payload_bytes);
 
   // Wait for both the link (one exchange in flight per pair) and the shared
   // medium (medium_capacity link-bandwidths of aggregate occupancy).

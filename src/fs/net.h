@@ -51,18 +51,15 @@ class Network {
 
   explicit Network(const NetworkConfig& config) : config_(config) {}
 
-  // Accounts one RPC carrying `payload_bytes` and returns its latency
-  // (fixed RPC overhead + transfer time). Analytic — ignores contention
-  // state; kept for replay ledgers and latency pinning in tests.
-  SimDuration Rpc(int64_t payload_bytes);
-
-  // Accounts one wire exchange on the (client, server) link at sim time
-  // `now`. With contention off this is exactly Rpc(payload_bytes); with
-  // contention on it adds link/medium queueing, deterministic
+  // Accounts one wire exchange carrying `payload_bytes` on the (client,
+  // server) link at sim time `now`; the transport's only entry point. With
+  // contention off it costs RpcTime(payload_bytes) whatever the link or
+  // time; with contention on it adds link/medium queueing, deterministic
   // loss/retransmit, and pacing.
   WireOutcome Transfer(ClientId client, ServerId server, int64_t payload_bytes, SimTime now);
 
-  // Latency without accounting.
+  // Latency (fixed RPC overhead + transfer time) without accounting; replay
+  // ledgers use it.
   SimDuration RpcTime(int64_t payload_bytes) const;
   // Payload transfer term alone (no fixed overhead).
   SimDuration TransferTime(int64_t payload_bytes) const;

@@ -9,57 +9,6 @@
 
 namespace sprite {
 
-const char* RpcKindName(RpcKind kind) {
-  switch (kind) {
-    case RpcKind::kOpen: return "open";
-    case RpcKind::kClose: return "close";
-    case RpcKind::kCreate: return "create";
-    case RpcKind::kDelete: return "delete";
-    case RpcKind::kTruncate: return "truncate";
-    case RpcKind::kGetAttr: return "getattr";
-    case RpcKind::kReadBlock: return "read-block";
-    case RpcKind::kWriteBlock: return "write-block";
-    case RpcKind::kUncachedRead: return "uncached-read";
-    case RpcKind::kUncachedWrite: return "uncached-write";
-    case RpcKind::kPageIn: return "page-in";
-    case RpcKind::kPageOut: return "page-out";
-    case RpcKind::kReadDir: return "read-dir";
-    case RpcKind::kReopen: return "reopen";
-    case RpcKind::kRecallDirty: return "recall-dirty";
-    case RpcKind::kCacheDisable: return "cache-disable";
-    case RpcKind::kCacheEnable: return "cache-enable";
-    case RpcKind::kTokenRecall: return "token-recall";
-    case RpcKind::kDiscardFile: return "discard-file";
-    case RpcKind::kShadowOpen: return "shadow-open";
-    case RpcKind::kShadowClose: return "shadow-close";
-    case RpcKind::kShadowWrite: return "shadow-write";
-    case RpcKind::kBatch: return "batch";
-    case RpcKind::kMigrateState: return "migrate-state";
-    case RpcKind::kMigrateDirty: return "migrate-dirty";
-    case RpcKind::kMigrateCommit: return "migrate-commit";
-  }
-  return "unknown";
-}
-
-namespace {
-
-// Replication shadowing kinds exist in the metric namespace only when the
-// cluster enables replication (see AttachObservability), keeping the
-// replication-off metrics output byte-identical to pre-replication runs.
-bool IsShadowKind(RpcKind kind) {
-  return kind == RpcKind::kShadowOpen || kind == RpcKind::kShadowClose ||
-         kind == RpcKind::kShadowWrite;
-}
-
-// Likewise the migration protocol kinds exist in the metric namespace only
-// when the cluster enables live rebalancing.
-bool IsMigrateKind(RpcKind kind) {
-  return kind == RpcKind::kMigrateState || kind == RpcKind::kMigrateDirty ||
-         kind == RpcKind::kMigrateCommit;
-}
-
-}  // namespace
-
 RpcTransport::RpcTransport(const NetworkConfig& net_config, const RpcConfig& rpc_config)
     : network_(std::make_unique<Network>(net_config)), config_(rpc_config) {
   ledger_.async = config_.async;
@@ -93,56 +42,6 @@ SimDuration RpcTransport::JitteredBackoffForAttempt(const RpcConfig& config, Cli
   return base + static_cast<SimDuration>(SplitMix64(seed) % span);
 }
 
-bool RpcTransport::ChargesNetwork(RpcKind kind) {
-  switch (kind) {
-    case RpcKind::kOpen:
-    case RpcKind::kClose:
-    case RpcKind::kReadBlock:
-    case RpcKind::kWriteBlock:
-    case RpcKind::kUncachedRead:
-    case RpcKind::kUncachedWrite:
-    case RpcKind::kPageIn:
-    case RpcKind::kPageOut:
-    case RpcKind::kReadDir:
-    case RpcKind::kReopen:
-    // Shadowing is a real wire message to the backup: the RPC amplification
-    // replication pays is measurable, not free.
-    case RpcKind::kShadowOpen:
-    case RpcKind::kShadowClose:
-    case RpcKind::kShadowWrite:
-    // A batch flush is one coalesced wire exchange.
-    case RpcKind::kBatch:
-    // Migration state/extent transfers and the commit are real wire
-    // messages: moving a home pays for the bytes it moves.
-    case RpcKind::kMigrateState:
-    case RpcKind::kMigrateDirty:
-    case RpcKind::kMigrateCommit:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool RpcTransport::Batchable(RpcKind kind) {
-  // The deferrable small-message set: ledger-only control kinds (getattr,
-  // create/delete/truncate, consistency callbacks) plus the replication
-  // shadow stream — everything whose reply the caller never waits on.
-  return (!ChargesNetwork(kind) || IsShadowKind(kind)) && kind != RpcKind::kBatch;
-}
-
-bool RpcTransport::IsCallback(RpcKind kind) {
-  switch (kind) {
-    case RpcKind::kRecallDirty:
-    case RpcKind::kCacheDisable:
-    case RpcKind::kCacheEnable:
-    case RpcKind::kTokenRecall:
-    case RpcKind::kDiscardFile:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void RpcTransport::AttachObservability(Observability* obs) {
   obs_ = obs;
   latency_rec_.fill(nullptr);
@@ -154,24 +53,17 @@ void RpcTransport::AttachObservability(Observability* obs) {
     return;
   }
   MetricsRegistry& metrics = obs_->metrics();
-  for (int k = 0; k < kRpcKindCount; ++k) {
-    const RpcKind kind = static_cast<RpcKind>(k);
-    // Shadow recorders only when replication can issue them: the metrics
-    // window prints every registered instrument (zeros included), so
-    // registering them unconditionally would perturb replication-off output.
-    if (IsShadowKind(kind) && !replication_enabled_) {
+  for (size_t k = 0; k < kRpcKinds.size(); ++k) {
+    const RpcKindInfo& info = kRpcKinds[k];
+    // Opt-in groups get recorders only when their mode can issue them: the
+    // metrics window prints every registered instrument (zeros included),
+    // so registering them unconditionally would perturb mode-off output.
+    if ((info.group == RpcGroup::kShadow && !replication_enabled_) ||
+        (info.group == RpcGroup::kBatch && !config_.batching) ||
+        (info.group == RpcGroup::kMigrate && !rebalance_enabled_)) {
       continue;
     }
-    // Same rule for the batch-flush recorder: only batching synthesizes one.
-    if (kind == RpcKind::kBatch && !config_.batching) {
-      continue;
-    }
-    // And for the migration protocol: only a rebalancing cluster issues it.
-    if (IsMigrateKind(kind) && !rebalance_enabled_) {
-      continue;
-    }
-    latency_rec_[static_cast<size_t>(k)] =
-        metrics.AddLatency(std::string("rpc.") + RpcKindName(kind) + ".latency_us");
+    latency_rec_[k] = metrics.AddLatency(std::string("rpc.") + info.name + ".latency_us");
   }
   metrics.AddGauge("rpc.calls", [this] { return ledger_.TotalCalls(); });
   metrics.AddGauge("rpc.payload_bytes", [this] { return ledger_.TotalPayloadBytes(); });
@@ -185,10 +77,7 @@ void RpcTransport::AttachObservability(Observability* obs) {
     metrics.AddGauge("wire.batches", [this] { return ledger_.batches; });
   }
   if (network_ != nullptr && network_->contention_enabled()) {
-    for (int s = 0; s < expected_servers_; ++s) {
-      link_rec_.push_back(
-          metrics.AddLatency("net.link." + std::to_string(s) + ".queued_us"));
-    }
+    AddLinkRecorders(static_cast<size_t>(expected_servers_));
     metrics.AddGauge("net.retransmits", [this] { return network_->retransmits(); });
     metrics.AddGauge("net.contended_transfers",
                      [this] { return network_->contended_transfers(); });
@@ -205,6 +94,18 @@ void RpcTransport::RegisterServer(ServerId id, Server* server) {
     servers_.resize(id + 1, nullptr);
   }
   servers_[id] = server;
+  AddLinkRecorders(static_cast<size_t>(id) + 1);
+}
+
+void RpcTransport::AddLinkRecorders(size_t servers) {
+  if (obs_ == nullptr || !obs_->metrics_enabled() || network_ == nullptr ||
+      !network_->contention_enabled()) {
+    return;
+  }
+  while (link_rec_.size() < servers) {
+    link_rec_.push_back(obs_->metrics().AddLatency(
+        "net.link." + std::to_string(link_rec_.size()) + ".queued_us"));
+  }
 }
 
 void RpcTransport::SetServerUnavailable(ServerId server, SimTime from, SimTime until) {
@@ -330,87 +231,27 @@ SimDuration RpcTransport::FlushBatch(ClientId client, ServerId server, SimTime n
   if (pw.batch.ops == 0) {
     return 0;
   }
-  const int64_t ops = pw.batch.ops;
-  const int64_t bytes = pw.batch.bytes;
-  pw.batch = WireBatch{};
-
-  // One wire exchange carrying the batch's summed bytes.
-  SimDuration net = 0;
+  const WireBatch batch = std::exchange(pw.batch, WireBatch{});
+  // One wire exchange carrying the batch's summed bytes, admitted once at
+  // control service time in async mode. The members already booked their
+  // calls and payload, so the kBatch row carries only the exchange.
+  CallCharge c{RpcKind::kBatch, client, server};
   if (network_ != nullptr) {
-    const Network::WireOutcome outcome = network_->Transfer(client, server, bytes, now);
-    net = outcome.latency;
-    if (server < link_rec_.size() && link_rec_[server] != nullptr) {
-      link_rec_[server]->Record(outcome.queued);
-    }
-    if (obs_ != nullptr && obs_->tracing_enabled() && outcome.queued > 0) {
-      obs_->tracer().Emit("net.queued", "net", ServerTrack(server), now, outcome.queued,
-                          {{"client", client},
-                           {"kind", static_cast<int64_t>(RpcKind::kBatch)}});
-    }
+    c.net = Exchange(RpcKind::kBatch, client, server, batch.bytes, now);
   }
-
-  // In async mode the flush is one control-time admission through the
-  // server's service queue, exactly like any charged RPC.
-  SimDuration queue_wait = 0;
-  SimDuration service = 0;
   if (config_.async) {
-    Server* srv = server < servers_.size() ? servers_[server] : nullptr;
-    if (srv != nullptr && srv->service_queue_enabled()) {
-      const Server::Admission adm =
-          srv->AdmitRequest(RpcKind::kBatch, now + net, /*priority=*/false);
-      queue_wait = adm.queue_wait();
-      service = adm.service;
-      if (queue_ != nullptr) {
-        const SimTime base = queue_->now();
-        queue_->Schedule(std::max(adm.arrival, base), [srv] { srv->RequestArrived(); });
-        queue_->Schedule(std::max(adm.completion(), base),
-                         [srv] { srv->RequestCompleted(); });
-      }
-      if (obs_ != nullptr && obs_->tracing_enabled() && queue_wait > 0) {
-        obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(server), adm.arrival,
-                            queue_wait,
-                            {{"client", client},
-                             {"kind", static_cast<int64_t>(RpcKind::kBatch)}});
-      }
-    }
+    Serve(c, now + c.net);
   }
-  const SimDuration total = net + queue_wait + service;
-
   if (obs_ != nullptr && obs_->tracing_enabled()) {
-    obs_->tracer().Emit(RpcKindName(RpcKind::kBatch), "rpc", ClientTrack(client), now, total,
-                        {{"server", server}, {"ops", ops}, {"bytes", bytes}, {"net_us", net}});
+    obs_->tracer().Emit(RpcKindName(RpcKind::kBatch), "rpc", ClientTrack(client), now, c.total(),
+                        {{"server", server}, {"ops", batch.ops}, {"bytes", batch.bytes},
+                         {"net_us", c.net}});
   }
-  if (LatencyRecorder* rec = latency_rec_[static_cast<size_t>(RpcKind::kBatch)];
-      rec != nullptr) {
-    rec->Record(total);
-  }
-  if (critical_path_ != nullptr) {
-    // Charged here — not on the member rows — so the collector's phase
-    // totals still reconcile with the ledger to the microsecond.
-    critical_path_->AddRpc(/*wait=*/0, net, queue_wait, service, /*callback=*/false);
-  }
-
-  // The members already charged their calls/payload; the kBatch row carries
-  // only the wire exchange itself, so TotalPayloadBytes is not
-  // double-counted.
-  const auto charge = [&](RpcStat& s) {
-    ++s.calls;
-    s.net_time += net;
-    s.queue_time += queue_wait;
-    s.service_time += service;
-  };
-  charge(ledger_.stat(RpcKind::kBatch));
-  charge(ledger_.by_client[client]);
-  charge(ledger_.by_server[server]);
-  if (has_epochs_) {
-    const bool crashed = server < epoch_set_.size() && epoch_set_[server];
-    charge(ledger_.by_epoch[crashed ? server_epochs_[server] : 1]);
-  }
+  Account(c);
   ++ledger_.batches;
-
   pw.has_exchange = true;
-  pw.last_exchange_end = now + total;
-  return total;
+  pw.last_exchange_end = now + c.total();
+  return c.total();
 }
 
 void RpcTransport::FlushAllWire(SimTime now) {
@@ -423,243 +264,229 @@ void RpcTransport::FlushAllWire(SimTime now) {
   }
 }
 
-SimDuration RpcTransport::Call(RpcKind kind, ClientId client, ServerId server,
-                               int64_t payload_bytes, SimTime now) {
-  SimDuration wait = 0;
-  int64_t retries = 0;
-  int64_t timeouts = 0;
-  int64_t blocked_waits = 0;
-
-  // Sub-phase spans of this call (timeouts, backoffs, recovery waits, wire
-  // time), gathered only when tracing so the parent span can be emitted
-  // first and Perfetto nests the children under it. The spans accumulate in
-  // the pooled scratch vector from `phase_base` on; nested Calls (reopen
-  // storms) stack their own suffixes on top and truncate them before this
-  // frame emits.
-  const bool tracing = obs_ != nullptr && obs_->tracing_enabled();
-  const size_t phase_base = span_scratch_.size();
-  const auto phase = [&](const char* name, SimTime start, SimDuration dur) {
-    if (!tracing) {
-      return;
-    }
+void RpcTransport::Phase(ClientId client, const char* name, SimTime start,
+                         SimDuration duration) {
+  if (obs_ != nullptr && obs_->tracing_enabled()) {
     Span s;
     s.name = name;
     s.category = "rpc.phase";
     s.track = ClientTrack(client);
     s.start = start;
-    s.duration = dur;
+    s.duration = duration;
     span_scratch_.push_back(s);
-  };
+  }
+}
 
-  if (!IsCallback(kind)) {
-    SimTime t = now;
-    if (outage_count_ > 0 || partition_count_ > 0) {
-      SimTime recovery = 0;
-      int tries = 0;
-      while (Unreachable(server, client, t, &recovery)) {
-        phase("timeout", t, config_.timeout);
-        wait += config_.timeout;
-        t += config_.timeout;
-        ++timeouts;
-        if (tries < config_.max_retries) {
-          const SimDuration backoff = JitteredBackoffForAttempt(config_, client, tries);
-          phase("backoff", t, backoff);
-          wait += backoff;
-          t += backoff;
-          ++retries;
-          ++tries;
-        } else {
-          // Retry budget spent: wait out the outage, as Sprite clients do.
-          if (recovery > t) {
-            phase("blocked-wait", t, recovery - t);
-            wait += recovery - t;
-            t = recovery;
-          }
-          ++blocked_waits;
-          break;
-        }
+void RpcTransport::Reach(CallCharge& c, SimTime now) {
+  SimTime t = now;
+  SimTime recovery = 0;
+  while (Unreachable(c.server, c.client, t, &recovery)) {
+    Phase(c.client, "timeout", t, config_.timeout);
+    c.wait += config_.timeout;
+    t += config_.timeout;
+    ++c.timeouts;
+    if (c.retries >= config_.max_retries) {
+      // Retry budget spent: wait out the outage, as Sprite clients do.
+      if (recovery > t) {
+        Phase(c.client, "blocked-wait", t, recovery - t);
+        c.wait += recovery - t;
+        t = recovery;
       }
+      ++c.blocked_waits;
+      break;
     }
-    // Crash-recovery handshake. The first response from a rebooted server
-    // carries its new epoch; a client that is behind replays its open
-    // handles (kReopen storm) before this request is served, and non-reopen
-    // traffic then waits out the remainder of the reopen-only grace window.
-    if (has_epochs_ && kind != RpcKind::kReopen) {
-      const SimDuration storm = SyncEpoch(client, server, t);
-      if (storm > 0) {
-        // The storm's own kReopen calls charge the ledger and emit spans
-        // themselves (Client::ReplayOpens); here it is simply time this
-        // request spent waiting.
-        wait += storm;
-        t += storm;
-      }
-      const SimTime grace = GraceUntil(server, t);
-      if (grace > t) {
-        phase("grace-wait", t, grace - t);
-        wait += grace - t;
-        t = grace;
-        ++blocked_waits;
-      }
+    const SimDuration backoff =
+        JitteredBackoffForAttempt(config_, c.client, static_cast<int>(c.retries));
+    Phase(c.client, "backoff", t, backoff);
+    c.wait += backoff;
+    t += backoff;
+    ++c.retries;
+  }
+  // Crash-recovery handshake. The first response from a rebooted server
+  // carries its new epoch; a client that is behind replays its open handles
+  // (kReopen storm, which books its own calls) before this request is
+  // served, and non-reopen traffic then waits out the rest of the
+  // reopen-only grace window.
+  if (has_epochs_ && c.kind != RpcKind::kReopen) {
+    const SimDuration storm = SyncEpoch(c.client, c.server, t);
+    c.wait += storm;
+    t += storm;
+    const SimTime grace = GraceUntil(c.server, t);
+    if (grace > t) {
+      Phase(c.client, "grace-wait", t, grace - t);
+      c.wait += grace - t;
+      ++c.blocked_waits;
     }
   }
+}
 
-  // Honest-wire layer (defaults off; see the class comment). Decides whether
-  // this call piggybacks, pays its own control exchange, or defers into the
-  // pair's wire batch — and absorbs any batch flush it triggers.
-  SimDuration flush_wait = 0;
-  bool defer_wire = false;
-  bool pays_control_exchange = false;
+bool RpcTransport::WirePolicy(const RpcKindInfo& info, CallCharge& c, PairWire& pw,
+                              SimTime t) {
+  if (config_.batching && info.batchable()) {
+    if (pw.batch.ops > 0 && t - pw.batch.started >= config_.batch_window) {
+      // The pending batch aged out: this op pays its flush, then starts a
+      // fresh one (lazy age-out keeps the sync transport event-free).
+      c.flush_wait += FlushBatch(c.client, c.server, t);
+    }
+    if (pw.batch.ops == 0) {
+      pw.batch.started = t + c.flush_wait;
+    }
+    ++pw.batch.ops;
+    pw.batch.bytes += c.payload_bytes > 0 ? c.payload_bytes : kControlRpcBytes;
+    ++ledger_.batched_ops;
+    if (pw.batch.ops >= config_.batch_max_ops) {
+      c.flush_wait += FlushBatch(c.client, c.server, t + c.flush_wait);
+    }
+    return false;
+  }
+  if (info.charges_network()) {
+    return true;
+  }
+  // A lane-less kind inside the piggyback window rides the pair's last
+  // exchange for free; otherwise it pays a full exchange of its own.
+  if (pw.has_exchange && t < pw.last_exchange_end + config_.piggyback_window) {
+    ++ledger_.piggybacked_ops;
+    return false;
+  }
+  ++ledger_.charged_control_ops;
+  return true;
+}
+
+// Exchange and Account run on every charged call; forcing them inline keeps
+// the default path as short as it was when Call spelled them out.
+[[gnu::always_inline]] inline SimDuration RpcTransport::Exchange(RpcKind kind, ClientId client, ServerId server,
+                                          int64_t bytes, SimTime start) {
+  const Network::WireOutcome out = network_->Transfer(client, server, bytes, start);
+  if (server < link_rec_.size()) {
+    link_rec_[server]->Record(out.queued);
+  }
+  if (out.queued > 0 && obs_ != nullptr && obs_->tracing_enabled()) {
+    obs_->tracer().Emit("net.queued", "net", ServerTrack(server), start, out.queued,
+                        {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
+  }
+  return out.latency;
+}
+
+void RpcTransport::Serve(CallCharge& c, SimTime arrival) {
+  Server* srv = c.server < servers_.size() ? servers_[c.server] : nullptr;
+  if (srv == nullptr || !srv->service_queue_enabled()) {
+    return;
+  }
+  // Reopen traffic during the recovery grace window jumps the queue.
+  const bool priority = c.kind == RpcKind::kReopen && GraceUntil(c.server, arrival) > arrival;
+  const Server::Admission adm = srv->AdmitRequest(c.kind, arrival, priority);
+  c.queue = adm.queue_wait();
+  c.service = adm.service;
+  if (queue_ != nullptr) {
+    // The arrival/completion events keep the live queue-depth gauge honest.
+    // They are scheduled whether or not observability is attached, so
+    // obs-on and obs-off runs stay bit-identical; the max() guards bare
+    // transports whose callers pass issue times behind the queue's clock.
+    const SimTime base = queue_->now();
+    queue_->Schedule(std::max(adm.arrival, base), [srv] { srv->RequestArrived(); });
+    queue_->Schedule(std::max(adm.completion(), base), [srv] { srv->RequestCompleted(); });
+  }
+  if (c.queue > 0 && obs_ != nullptr && obs_->tracing_enabled()) {
+    obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(c.server), adm.arrival, c.queue,
+                        {{"client", c.client}, {"kind", static_cast<int64_t>(c.kind)}});
+  }
+}
+
+[[gnu::always_inline]] inline void RpcTransport::Account(const CallCharge& c) {
+  if (LatencyRecorder* rec = latency_rec_[static_cast<size_t>(c.kind)]; rec != nullptr) {
+    rec->Record(c.total());
+  }
+  if (critical_path_ != nullptr) {
+    // Exactly the values booked on the ledger below (flush_wait rides only
+    // in the caller's total: the flush booked its own kBatch charge), so the
+    // collector's phase totals reconcile with the ledger to the microsecond.
+    critical_path_->AddRpc(c.wait, c.net, c.queue, c.service, RpcKindInfoOf(c.kind).callback());
+  }
+  const auto charge = [&c](RpcStat& s) {
+    ++s.calls;
+    s.payload_bytes += c.payload_bytes;
+    s.net_time += c.net;
+    s.wait_time += c.wait;
+    s.queue_time += c.queue;
+    s.service_time += c.service;
+    s.retries += c.retries;
+    s.timeouts += c.timeouts;
+    s.blocked_waits += c.blocked_waits;
+  };
+  charge(ledger_.stat(c.kind));
+  charge(ledger_.by_client[c.client]);
+  charge(ledger_.by_server[c.server]);
+  if (has_epochs_) {
+    // Per-epoch breakdown, only once a crash exists (fault-free ledgers and
+    // their rendering stay bit-identical). Servers that never crashed are
+    // still in epoch 1.
+    const bool crashed = c.server < epoch_set_.size() && epoch_set_[c.server];
+    charge(ledger_.by_epoch[crashed ? server_epochs_[c.server] : 1]);
+  }
+}
+
+SimDuration RpcTransport::Call(RpcKind kind, ClientId client, ServerId server,
+                               int64_t payload_bytes, SimTime now) {
+  const RpcKindInfo& info = RpcKindInfoOf(kind);
+  CallCharge c{kind, client, server, payload_bytes};
+  // Sub-phase spans (timeouts, backoffs, recovery waits, wire time) gather
+  // in the pooled scratch from `phase_base` on while tracing, so the parent
+  // span is emitted first and Perfetto nests them under it. Nested Calls
+  // (reopen storms) stack their own suffixes and truncate them.
+  const bool tracing = obs_ != nullptr && obs_->tracing_enabled();
+  const size_t phase_base = span_scratch_.size();
+
+  // Reachability, only once a fault or crash exists. Callbacks come from
+  // the server itself and never wait.
+  if ((outage_count_ > 0 || partition_count_ > 0 || has_epochs_) && !info.callback()) {
+    Reach(c, now);
+  }
+  // Wire policy: by default a kind pays its own exchange exactly when it has
+  // a service lane; honest wire and batching decide per call.
+  bool own_exchange = info.charges_network();
   PairWire* pw = nullptr;
   if (config_.honest_wire || config_.batching) {
     pw = &PairState(client, server);
-    const SimTime t = now + wait;
-    if (config_.batching && Batchable(kind)) {
-      if (pw->batch.ops > 0 && t - pw->batch.started >= config_.batch_window) {
-        // The pending batch aged out: this op pays its flush, then starts a
-        // fresh one (lazy age-out keeps the sync transport event-free).
-        flush_wait += FlushBatch(client, server, t);
+    own_exchange = WirePolicy(info, c, *pw, now + c.wait);
+  }
+  if (own_exchange) {
+    const SimTime start = now + c.wait + c.flush_wait;
+    if (network_ != nullptr) {
+      // A lane-less kind paying its own exchange sends a control message.
+      const int64_t bytes =
+          info.charges_network() || payload_bytes != 0 ? payload_bytes : kControlRpcBytes;
+      c.net = Exchange(kind, client, server, bytes, start);
+      if (tracing) {
+        Phase(client, "wire", start, c.net);
       }
-      if (pw->batch.ops == 0) {
-        pw->batch.started = t + flush_wait;
+      if (pw != nullptr) {
+        pw->has_exchange = true;
+        pw->last_exchange_end = start + c.net;
       }
-      ++pw->batch.ops;
-      pw->batch.bytes += payload_bytes > 0 ? payload_bytes : kControlRpcBytes;
-      ++ledger_.batched_ops;
-      defer_wire = true;
-      if (pw->batch.ops >= config_.batch_max_ops) {
-        flush_wait += FlushBatch(client, server, t + flush_wait);
-      }
-    } else if (!ChargesNetwork(kind)) {
-      // honest_wire: a control RPC inside the piggyback window rides the
-      // pair's last exchange for free; otherwise it pays a full exchange.
-      if (pw->has_exchange && t < pw->last_exchange_end + config_.piggyback_window) {
-        ++ledger_.piggybacked_ops;
-      } else {
-        pays_control_exchange = true;
-        ++ledger_.charged_control_ops;
-      }
+    }
+    // Only kinds with a service lane enter the server's queue.
+    if (config_.async && info.charges_network()) {
+      Serve(c, start + c.net);
     }
   }
-
-  SimDuration net = 0;
-  if (network_ != nullptr && !defer_wire &&
-      (ChargesNetwork(kind) || pays_control_exchange)) {
-    const int64_t wire_bytes =
-        pays_control_exchange && payload_bytes == 0 ? kControlRpcBytes : payload_bytes;
-    const SimTime wire_start = now + wait + flush_wait;
-    const Network::WireOutcome outcome =
-        network_->Transfer(client, server, wire_bytes, wire_start);
-    net = outcome.latency;
-    phase("wire", wire_start, net);
-    if (server < link_rec_.size() && link_rec_[server] != nullptr) {
-      link_rec_[server]->Record(outcome.queued);
-    }
-    if (tracing && outcome.queued > 0) {
-      obs_->tracer().Emit("net.queued", "net", ServerTrack(server), wire_start,
-                          outcome.queued,
-                          {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
-    }
-    if (pw != nullptr) {
-      pw->has_exchange = true;
-      pw->last_exchange_end = wire_start + net;
-    }
-  }
-
-  // Event-driven completion: the request reaches the server after its wire
-  // time and enters the FIFO service queue; the events below keep the live
-  // queue-depth gauge honest. Everything here is gated on config_.async, so
-  // the default synchronous transport is untouched byte-for-byte.
-  SimDuration queue_wait = 0;
-  SimDuration service = 0;
-  if (config_.async && ChargesNetwork(kind) && !defer_wire) {
-    Server* srv = server < servers_.size() ? servers_[server] : nullptr;
-    if (srv != nullptr && srv->service_queue_enabled()) {
-      const SimTime arrival = now + wait + flush_wait + net;
-      // Reopen traffic during the recovery grace window jumps the queue.
-      const bool priority =
-          kind == RpcKind::kReopen && GraceUntil(server, arrival) > arrival;
-      const Server::Admission adm = srv->AdmitRequest(kind, arrival, priority);
-      queue_wait = adm.queue_wait();
-      service = adm.service;
-      if (queue_ != nullptr) {
-        // The arrival/completion events are scheduled whether or not
-        // observability is attached — identical event streams keep obs-on
-        // and obs-off runs bit-identical. The max() guards bare transports
-        // whose callers pass issue times behind the queue's clock.
-        const SimTime base = queue_->now();
-        queue_->Schedule(std::max(adm.arrival, base), [srv] { srv->RequestArrived(); });
-        queue_->Schedule(std::max(adm.completion(), base),
-                         [srv] { srv->RequestCompleted(); });
-      }
-      if (tracing && queue_wait > 0) {
-        obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(server), adm.arrival,
-                            queue_wait, {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
-      }
-    }
-  }
-  // flush_wait is time this caller absorbed flushing a batch; the flush
-  // charged its own ledger/critical-path rows, so it rides only in the
-  // returned total (and this kind's latency recorder), never in this row.
-  const SimDuration total = wait + flush_wait + net + queue_wait + service;
 
   if (tracing) {
-    obs_->tracer().Emit(RpcKindName(kind), IsCallback(kind) ? "rpc.callback" : "rpc",
-                        ClientTrack(client), now, total,
+    obs_->tracer().Emit(info.name, info.callback() ? "rpc.callback" : "rpc", ClientTrack(client),
+                        now, c.total(),
                         {{"server", server},
                          {"bytes", payload_bytes},
-                         {"retries", retries},
-                         {"timeouts", timeouts},
-                         {"net_us", net},
-                         {"wait_us", wait}});
+                         {"retries", c.retries},
+                         {"timeouts", c.timeouts},
+                         {"net_us", c.net},
+                         {"wait_us", c.wait}});
     for (size_t i = phase_base; i < span_scratch_.size(); ++i) {
       const Span& s = span_scratch_[i];
       obs_->tracer().Emit(s.name, s.category, s.track, s.start, s.duration);
     }
     span_scratch_.resize(phase_base);
   }
-  if (LatencyRecorder* rec = latency_rec_[static_cast<size_t>(kind)]; rec != nullptr) {
-    rec->Record(total);
-  }
-  if (critical_path_ != nullptr) {
-    // Exactly the values charged to the ledger below, so the collector's
-    // phase totals reconcile with the ledger columns to the microsecond.
-    critical_path_->AddRpc(wait, net, queue_wait, service, IsCallback(kind));
-  }
-
-  const auto charge = [&](RpcStat& s) {
-    ++s.calls;
-    s.payload_bytes += payload_bytes;
-    s.net_time += net;
-    s.wait_time += wait;
-    s.queue_time += queue_wait;
-    s.service_time += service;
-    s.retries += retries;
-    s.timeouts += timeouts;
-    s.blocked_waits += blocked_waits;
-  };
-  charge(ledger_.stat(kind));
-  charge(ledger_.by_client[client]);
-  charge(ledger_.by_server[server]);
-  if (has_epochs_) {
-    // Per-epoch breakdown, only once a crash exists (fault-free ledgers and
-    // their rendering stay bit-identical). Servers that never crashed are
-    // still in epoch 1.
-    const bool crashed = server < epoch_set_.size() && epoch_set_[server];
-    charge(ledger_.by_epoch[crashed ? server_epochs_[server] : 1]);
-  }
-  return total;
-}
-
-void RpcTransport::CallAsync(RpcKind kind, ClientId client, ServerId server,
-                             int64_t payload_bytes, SimTime now, CompletionFn on_complete) {
-  if (queue_ == nullptr) {
-    throw std::logic_error("RpcTransport::CallAsync: no EventQueue bound");
-  }
-  // Issue path: all accounting (queue admission, ledger, metrics, spans)
-  // happens now; the reply is delivered by a completion event.
-  const SimDuration latency = Call(kind, client, server, payload_bytes, now);
-  queue_->Schedule(std::max(now + latency, queue_->now()),
-                   [cb = std::move(on_complete), latency] { cb(latency); });
+  Account(c);
+  return c.total();
 }
 
 bool RpcTransport::CallbackDropped(ServerId server, ClientId client, FileId file,
@@ -698,42 +525,42 @@ class CallbackStub final : public CacheControl {
   // dirty-data recall does not flag staleness — the client's copy is the
   // newest; the readers on the server side are the ones seeing old data.
   void RecallDirtyData(FileId file, SimTime now) override {
-    if (transport_->CallbackDropped(server_, client_, file, /*flags_stale=*/false, now)) {
-      return;
+    if (Deliver(RpcKind::kRecallDirty, file, /*flags_stale=*/false, now)) {
+      target_->RecallDirtyData(file, now);
     }
-    transport_->Call(RpcKind::kRecallDirty, client_, server_, 0, now);
-    target_->RecallDirtyData(file, now);
   }
   void DisableCaching(FileId file, SimTime now) override {
-    if (transport_->CallbackDropped(server_, client_, file, /*flags_stale=*/true, now)) {
-      return;
+    if (Deliver(RpcKind::kCacheDisable, file, /*flags_stale=*/true, now)) {
+      target_->DisableCaching(file, now);
     }
-    transport_->Call(RpcKind::kCacheDisable, client_, server_, 0, now);
-    target_->DisableCaching(file, now);
   }
   void EnableCaching(FileId file, SimTime now) override {
-    if (transport_->CallbackDropped(server_, client_, file, /*flags_stale=*/false, now)) {
-      return;
+    if (Deliver(RpcKind::kCacheEnable, file, /*flags_stale=*/false, now)) {
+      target_->EnableCaching(file, now);
     }
-    transport_->Call(RpcKind::kCacheEnable, client_, server_, 0, now);
-    target_->EnableCaching(file, now);
   }
   void RecallToken(FileId file, SimTime now, bool invalidate) override {
-    if (transport_->CallbackDropped(server_, client_, file, /*flags_stale=*/invalidate, now)) {
-      return;
+    if (Deliver(RpcKind::kTokenRecall, file, /*flags_stale=*/invalidate, now)) {
+      target_->RecallToken(file, now, invalidate);
     }
-    transport_->Call(RpcKind::kTokenRecall, client_, server_, 0, now);
-    target_->RecallToken(file, now, invalidate);
   }
   void DiscardFile(FileId file, SimTime now) override {
-    if (transport_->CallbackDropped(server_, client_, file, /*flags_stale=*/true, now)) {
-      return;
+    if (Deliver(RpcKind::kDiscardFile, file, /*flags_stale=*/true, now)) {
+      target_->DiscardFile(file, now);
     }
-    transport_->Call(RpcKind::kDiscardFile, client_, server_, 0, now);
-    target_->DiscardFile(file, now);
   }
 
  private:
+  // Records the callback RPC unless a partition drops it; true when the
+  // command reaches the client.
+  bool Deliver(RpcKind kind, FileId file, bool flags_stale, SimTime now) {
+    if (transport_->CallbackDropped(server_, client_, file, flags_stale, now)) {
+      return false;
+    }
+    transport_->Call(kind, client_, server_, 0, now);
+    return true;
+  }
+
   RpcTransport* transport_;
   ServerId server_;
   ClientId client_;
@@ -906,12 +733,12 @@ RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_conf
       // kBatch is synthesized by the live transport's flush path only, and
       // the kMigrate* protocol by a rebalancing cluster's coordinator; a
       // replayed trace never contains either.
-      if (static_cast<RpcKind>(k) == RpcKind::kBatch ||
-          IsMigrateKind(static_cast<RpcKind>(k))) {
+      const RpcKindInfo& info = kRpcKinds[static_cast<size_t>(k)];
+      if (info.group == RpcGroup::kBatch || info.group == RpcGroup::kMigrate) {
         continue;
       }
-      recorders[static_cast<size_t>(k)] = obs->metrics().AddLatency(
-          std::string("rpc.") + RpcKindName(static_cast<RpcKind>(k)) + ".latency_us");
+      recorders[static_cast<size_t>(k)] =
+          obs->metrics().AddLatency(std::string("rpc.") + info.name + ".latency_us");
     }
     // Counters rather than ledger gauges: the ledger is a local that dies
     // with this call, and counters survive inside the registry.
@@ -1155,7 +982,7 @@ std::string FormatCriticalPath(const CriticalPathCollector& cp, const RpcLedger&
   for (int k = 0; k < kRpcKindCount; ++k) {
     const RpcStat& s = ledger.by_kind[static_cast<size_t>(k)];
     calls += s.calls;
-    if (RpcTransport::IsCallback(static_cast<RpcKind>(k))) {
+    if (kRpcKinds[static_cast<size_t>(k)].callback()) {
       callback_calls += s.calls;
     }
     net += s.net_time;

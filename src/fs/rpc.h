@@ -5,37 +5,44 @@
 // per cluster. The transport owns the Network model and is the single place
 // where network accounting happens: it keeps a per-kind ledger (calls,
 // payload bytes, net latency) with per-client and per-server breakdowns
-// (RpcLedger in counters.h), replacing the inline `network_->Rpc(...)`
-// bookkeeping the Server used to do.
+// (RpcLedger in counters.h).
 //
-// Message kinds split into two classes, chosen to match what Sprite's wire
-// protocol actually transfers:
-//   * charged kinds (open/close/block fetch/writeback/pass-through/paging/
-//     directory reads) occupy the Ethernet: the transport charges the
-//     Network model and the latency is returned to the caller;
-//   * ledger-only kinds (create/delete/truncate/getattr and the
-//     consistency callbacks) are counted but, by default, cost no simulated
-//     time — in real Sprite these piggyback on other messages or overlap
-//     with the operations that triggered them.
+// Each kind's row in kRpcKinds (counters.h) says what it costs, chosen to
+// match what Sprite's wire protocol actually transfers. Kinds with a
+// service lane (open/close/block fetch/writeback/pass-through/paging/
+// directory reads) occupy the Ethernet and their latency is returned to the
+// caller. Lane-less kinds (create/delete/truncate/getattr and the
+// consistency callbacks) are counted but, by default, cost no simulated
+// time — in real Sprite these piggyback on other messages or overlap with
+// the operations that triggered them.
+//
+// Call runs one pipeline of stages that fill a single CallCharge:
+// reachability (fault timeouts and backoff, epoch handshake, grace wait),
+// wire policy (ride free, piggyback, pay an own exchange, or defer into the
+// pair's batch), Exchange (one Network transfer with its link recorder and
+// net.queued span), Serve (async admission to the server's service queue),
+// and Account, which books the charge to the latency recorder, the critical
+// path and all four ledger rows. A batch flush reuses Exchange, Serve and
+// Account, so the ledger and the critical path reconcile by construction.
+// Inline integer compares skip every stage that has nothing to do.
 //
 // Honest wire (RpcConfig::honest_wire / batching, both default off): the
 // piggybacking above becomes explicit instead of assumed. With honest_wire,
-// a ledger-only control kind issued within piggyback_window of the end of
-// the last wire exchange on its (client, server) pair rides it for free
+// a lane-less kind issued within piggyback_window of the end of the last
+// wire exchange on its (client, server) pair rides it for free
 // (ledger.piggybacked_ops); one that cannot pays a full kControlRpcBytes
-// exchange of its own (ledger.charged_control_ops). With batching, control
-// kinds — and the replication kShadow* stream — instead defer their wire
-// exchange into a per-pair batch that flushes as a single kBatch exchange
-// when it fills (batch_max_ops), ages out (batch_window, checked lazily on
-// the next batched op), or hits a measurement boundary (FlushAllWire, wired
-// by the Cluster). Member RPCs keep their fault handling, epoch handshake,
-// and ledger rows with net = 0; the kBatch row carries the flush's wire and
-// queue/service time, charged to the critical path at the flush site, so
-// ledger<->critical-path reconciliation stays exact. Deviations from real
-// piggybacking are deliberate: the window trails the last exchange (a
-// synchronous simulator cannot hold an RPC for a future carrier), and a
-// batch's members complete logically before their bytes move (fire-and-
-// forget control stream) — see DESIGN.md.
+// exchange of its own (ledger.charged_control_ops). With batching, the
+// batchable kinds (lane-less kinds and the replication kShadow* stream)
+// instead defer their wire exchange into a per-pair batch that flushes as a
+// single kBatch exchange when it fills (batch_max_ops), ages out
+// (batch_window, checked lazily on the next batched op), or hits a
+// measurement boundary (FlushAllWire, wired by the Cluster). Member RPCs
+// keep their fault handling, epoch handshake, and ledger rows with net = 0;
+// the kBatch row carries the flush's wire and queue/service time.
+// Deviations from real piggybacking are deliberate: the window trails the
+// last exchange (a synchronous simulator cannot hold an RPC for a future
+// carrier), and a batch's members complete logically before their bytes
+// move (fire-and-forget control stream) — see DESIGN.md.
 //
 // Fault injection: a server can be marked unavailable for an interval.
 // While it is down, client requests time out (RpcConfig.timeout per
@@ -47,17 +54,16 @@
 // Completion modes: by default (RpcConfig::async == false) Call is fully
 // synchronous — the caller absorbs the returned latency inline and server
 // queueing is structurally zero, which keeps the paper tables byte-exact.
-// With RpcConfig::async, each wire-occupying request is admitted into its
-// server's FIFO service queue (Server::AdmitRequest): it arrives after its
-// wire time, waits behind the requests ahead of it, and holds the service
-// lane for a per-kind service time. The transport schedules the arrival and
-// completion events on the bound EventQueue (BindEventQueue), so concurrent
+// With RpcConfig::async, a request that pays its own exchange and has a
+// service lane is admitted into its server's FIFO service queue
+// (Server::AdmitRequest): it arrives after its wire time, waits behind the
+// requests ahead of it, and holds the lane for its kind's service time. The
+// arrival and completion events go on the bound EventQueue, so concurrent
 // RPCs genuinely overlap and a loaded server accumulates measurable
-// queueing delay — reported as "server.N.queue_us" latency recorders, a
-// "server.N.queue_depth" gauge, and "rpc.queued" spans in the trace export.
-// Reopen traffic during a crashed server's grace window jumps the queue
-// (recovery preempts normal service) but still occupies the lane, so
-// post-grace traffic backs up behind the storm.
+// queueing delay ("server.N.queue_us" recorders, "server.N.queue_depth"
+// gauges, "rpc.queued" spans). Reopen traffic during a crashed server's
+// grace window jumps the queue but still occupies the lane, so post-grace
+// traffic backs up behind the storm.
 
 #ifndef SPRITE_DFS_SRC_FS_RPC_H_
 #define SPRITE_DFS_SRC_FS_RPC_H_
@@ -101,14 +107,6 @@ class RpcTransport {
   SimDuration Call(RpcKind kind, ClientId client, ServerId server, int64_t payload_bytes,
                    SimTime now);
 
-  // Event-driven issue/completion split (async mode): issues the request at
-  // `now` and delivers the total latency to `on_complete` via an event at
-  // the completion time (now + latency) on the bound EventQueue. Requires
-  // BindEventQueue; the ledger/metrics accounting is identical to Call.
-  using CompletionFn = std::function<void(SimDuration latency)>;
-  void CallAsync(RpcKind kind, ClientId client, ServerId server, int64_t payload_bytes,
-                 SimTime now, CompletionFn on_complete);
-
   // Binds the cluster's event queue; async mode schedules request-arrival
   // and completion events on it (sync mode never touches it).
   void BindEventQueue(EventQueue* queue) { queue_ = queue; }
@@ -118,9 +116,11 @@ class RpcTransport {
   // never call this keep the permissive grow-on-demand behavior.
   void SetExpectedServers(int count) { expected_servers_ = count; }
   // Registers the server object behind `id` so async admission can reach
-  // its service queue (wired by the Cluster; harmless in sync mode).
-  // Throws std::invalid_argument when SetExpectedServers was called and
-  // `id` is out of range — a silent resize here used to mask misrouted ids.
+  // its service queue (wired by the Cluster; harmless in sync mode), and its
+  // link-queueing recorder when the network runs contended with metrics on
+  // (servers added after AttachObservability get theirs here). Throws
+  // std::invalid_argument when SetExpectedServers was called and `id` is
+  // out of range — a silent resize here used to mask misrouted ids.
   void RegisterServer(ServerId id, Server* server);
 
   // Flushes every pending per-(client, server) wire batch as kBatch
@@ -227,11 +227,6 @@ class RpcTransport {
   // Sink for dropped-callback accounting during partitions (may be null).
   void SetStaleTracker(StaleDataTracker* tracker) { stale_tracker_ = tracker; }
 
-  // True if `kind` occupies the Ethernet (charged to the Network model).
-  static bool ChargesNetwork(RpcKind kind);
-  // True for server->client consistency callbacks.
-  static bool IsCallback(RpcKind kind);
-
   // True when a callback from `server` to `client` at `t` is lost to a
   // partition (used by the callback stubs).
   bool CallbackDropped(ServerId server, ClientId client, FileId file, bool flags_stale,
@@ -271,12 +266,53 @@ class RpcTransport {
     WireBatch batch;
   };
   PairWire& PairState(ClientId client, ServerId server);
-  // True for kinds that defer into a wire batch when batching is on:
-  // ledger-only control kinds plus the replication shadow stream.
-  static bool Batchable(RpcKind kind);
   // Flushes the pair's pending batch as one kBatch wire exchange at `now`
   // and returns the latency the triggering caller absorbs (0 if empty).
   SimDuration FlushBatch(ClientId client, ServerId server, SimTime now);
+
+  // --- Call pipeline stages ----------------------------------------------------
+  // Everything one RPC (or one batch flush) costs, filled by the stages and
+  // booked once by Account. The constructor sets each member on its own:
+  // aggregate initialization compiled to a block clear of all 88 bytes
+  // that made BM_TransportCall/free about a quarter slower.
+  struct CallCharge {
+    CallCharge(RpcKind k, ClientId c, ServerId s, int64_t payload = 0)
+        : kind(k), client(c), server(s), payload_bytes(payload) {}
+    RpcKind kind;
+    ClientId client;
+    ServerId server;
+    int64_t payload_bytes;
+    SimDuration wait = 0;        // timeouts, backoff, reopen storm, grace wait
+    SimDuration flush_wait = 0;  // a batch flush this call paid (booked on kBatch)
+    SimDuration net = 0;
+    SimDuration queue = 0;
+    SimDuration service = 0;
+    int64_t retries = 0;
+    int64_t timeouts = 0;
+    int64_t blocked_waits = 0;
+    SimDuration total() const { return wait + flush_wait + net + queue + service; }
+  };
+  // Reachability: waits out outages and partitions (timeouts, backoff,
+  // blocked wait), then runs the epoch handshake and the grace wait.
+  void Reach(CallCharge& c, SimTime now);
+  // Wire policy under honest_wire/batching: defers a batchable kind into
+  // the pair's batch (absorbing any flush it triggers), lets a lane-less
+  // kind piggyback, or charges it a control exchange. True when the call
+  // pays an exchange of its own.
+  bool WirePolicy(const RpcKindInfo& info, CallCharge& c, PairWire& pw, SimTime t);
+  // One wire exchange on the Network, feeding the link recorder and the
+  // net.queued span; returns its latency.
+  SimDuration Exchange(RpcKind kind, ClientId client, ServerId server, int64_t bytes,
+                       SimTime start);
+  // Async admission to the server's service queue at `arrival`.
+  void Serve(CallCharge& c, SimTime arrival);
+  // Books `c` to the latency recorder, the critical path and the ledger.
+  void Account(const CallCharge& c);
+  // Queues one sub-phase span of the current call (no-op unless tracing).
+  void Phase(ClientId client, const char* name, SimTime start, SimDuration duration);
+  // Registers "net.link.<s>.queued_us" for every server below `servers`
+  // (contended network with metrics on only).
+  void AddLinkRecorders(size_t servers);
 
   std::unique_ptr<Network> network_;
   RpcConfig config_;
@@ -316,7 +352,7 @@ class RpcTransport {
   // Per-kind latency recorders, resolved once at attach time.
   std::array<LatencyRecorder*, kRpcKindCount> latency_rec_{};
   // Per-server link-queueing recorders ("net.link.N.queued_us"), registered
-  // only when the network runs contended (and SetExpectedServers was set).
+  // only when the network runs contended.
   std::vector<LatencyRecorder*> link_rec_;
   // Scratch for the sub-phase spans Call() gathers while tracing, reused
   // across calls instead of reallocated. Call() can recurse (SyncEpoch runs
@@ -342,10 +378,6 @@ class ServerStub {
       : client_(client), server_(&server), transport_(&transport), standby_(standby) {}
 
   ServerId id() const { return server_->id(); }
-  // True when the transport runs event-driven completion; callers use this
-  // to thread issue times through multi-RPC operations (a serial client
-  // must not queue behind itself).
-  bool async() const { return transport_->config().async; }
 
   Server::OpenReply Open(FileId file, OpenMode mode, bool is_directory, SimTime now);
   Server::CloseReply Close(FileId file, OpenMode mode, bool wrote, int64_t final_size,

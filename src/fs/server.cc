@@ -63,48 +63,17 @@ void Server::EnableServiceQueue(const RpcConfig& rpc) {
   max_queue_depth_ = rpc.max_queue_depth > 0 ? static_cast<size_t>(rpc.max_queue_depth) : 1;
 }
 
-SimDuration Server::ServiceTimeFor(RpcKind kind) const {
-  switch (kind) {
-    case RpcKind::kOpen:
-    case RpcKind::kClose:
-    case RpcKind::kReopen:
-      return control_service_time_;
-    case RpcKind::kReadBlock:
-    case RpcKind::kWriteBlock:
-    case RpcKind::kUncachedRead:
-    case RpcKind::kUncachedWrite:
-    case RpcKind::kPageIn:
-    case RpcKind::kPageOut:
-    case RpcKind::kReadDir:
-      return data_service_time_;
-    case RpcKind::kShadowOpen:
-    case RpcKind::kShadowClose:
-      return control_service_time_;
-    case RpcKind::kShadowWrite:
-      return data_service_time_;
-    // A flushed wire batch is handled as one control-time request: its
-    // members are the small control messages that never held the lane.
-    case RpcKind::kBatch:
-      return control_service_time_;
-    // Migration protocol: the open-state snapshot and the commit are
-    // control-sized work; the dirty-extent transfer moves data.
-    case RpcKind::kMigrateState:
-    case RpcKind::kMigrateCommit:
-      return control_service_time_;
-    case RpcKind::kMigrateDirty:
-      return data_service_time_;
-    default:
-      return 0;  // ledger-only kinds and callbacks never hold the lane
-  }
-}
-
 Server::Admission Server::AdmitRequest(RpcKind kind, SimTime arrival, bool priority) {
   if (!service_queue_enabled_) {
     throw std::logic_error("Server::AdmitRequest: service queue not enabled");
   }
   Admission adm;
   adm.arrival = arrival;
-  adm.service = ServiceTimeFor(kind);
+  // The kind's lane sets its service time; lane-less kinds never hold it.
+  const RpcLane lane = RpcKindInfoOf(kind).lane;
+  adm.service = lane == RpcLane::kData      ? data_service_time_
+                : lane == RpcLane::kControl ? control_service_time_
+                                            : 0;
   if (priority) {
     // Grace-window reopen: served immediately (recovery traffic preempts
     // the normal queue) but the lane stays occupied afterwards, so normal

@@ -317,10 +317,6 @@ class Server {
   void RequestCompleted() { --service_queue_depth_; }
   int64_t service_queue_depth() const { return service_queue_depth_; }
 
-  // Per-kind service time under the configured service model (0 for kinds
-  // that never occupy the service lane, e.g. callbacks).
-  SimDuration ServiceTimeFor(RpcKind kind) const;
-
   const ServerCounters& counters() const { return counters_; }
   // Log-structured backend statistics (null when update-in-place).
   const SegmentLog* segment_log() const { return segment_log_.get(); }

@@ -40,8 +40,8 @@ TEST(NetworkTest, BlockFetchMatchesPaperLatency) {
 
 TEST(NetworkTest, CountsRpcsAndBytes) {
   Network net(NetworkConfig{});
-  net.Rpc(4096);
-  net.Rpc(128);
+  net.Transfer(0, 0, 4096, 0);
+  net.Transfer(0, 0, 128, 0);
   EXPECT_EQ(net.rpc_count(), 2);
   EXPECT_EQ(net.bytes_carried(), 4096 + 128);
 }
@@ -56,7 +56,7 @@ TEST(NetworkTest, UtilizationFortyClientsPagingIsSmall) {
   const SimDuration elapsed = kSecond;
   // 42 KB over one second.
   for (int i = 0; i < 10; ++i) {
-    net.Rpc(4300);
+    net.Transfer(0, 0, 4300, 0);
   }
   const double util = net.Utilization(elapsed);
   EXPECT_NEAR(util, 0.0644, 0.001);
@@ -69,7 +69,7 @@ TEST(NetworkTest, BusyTimeSplitsOverheadAndTransfer) {
   // with the defaults (3 ms overhead, 1.25 MB/s bandwidth).
   Network net(NetworkConfig{});
   for (int i = 0; i < 10; ++i) {
-    net.Rpc(4300);
+    net.Transfer(0, 0, 4300, 0);
   }
   // Overhead: 10 RPCs x 3 ms = 30 ms.
   EXPECT_EQ(net.overhead_busy_time(), 30 * kMillisecond);
@@ -79,7 +79,7 @@ TEST(NetworkTest, BusyTimeSplitsOverheadAndTransfer) {
 
   // A zero-payload control RPC still occupies the medium for the overhead.
   Network control(NetworkConfig{});
-  control.Rpc(0);
+  control.Transfer(0, 0, 0, 0);
   EXPECT_EQ(control.overhead_busy_time(), 3 * kMillisecond);
   EXPECT_EQ(control.transfer_busy_time(), 0);
   EXPECT_GT(control.Utilization(kSecond), 0.0);
@@ -91,16 +91,16 @@ TEST(NetworkTest, ZeroElapsedUtilization) {
 }
 
 TEST(NetworkTest, BusyTimeEqualsSumOfReturnedLatencies) {
-  // Regression: Rpc() used to compute the transfer term twice (once via
-  // RpcTime for the returned latency, once inline for busy-time), so a
-  // rounding or bandwidth change could make them drift. They are now the
-  // same computation, so the sum of returned latencies is exactly the busy
-  // time (payload mix chosen to exercise truncating divisions).
+  // Regression: the analytic path used to compute the transfer term twice
+  // (once via RpcTime for the returned latency, once inline for busy-time),
+  // so a rounding or bandwidth change could make them drift. They are now
+  // the same computation, so the sum of returned latencies is exactly the
+  // busy time (payload mix chosen to exercise truncating divisions).
   Network net(NetworkConfig{});
   SimDuration returned = 0;
   for (const int64_t payload : {int64_t{0}, int64_t{7}, int64_t{100}, int64_t{4096},
                                 int64_t{4300}, int64_t{100000}, int64_t{12345}}) {
-    returned += net.Rpc(payload);
+    returned += net.Transfer(0, 0, payload, 0).latency;
   }
   EXPECT_EQ(net.busy_time(), returned);
 }
@@ -111,7 +111,7 @@ TEST(NetworkTest, UtilizationClampsAndFlagsSaturation) {
   // with the overshoot visible via RawUtilization()/Saturated().
   Network net(NetworkConfig{});
   for (int i = 0; i < 10; ++i) {
-    net.Rpc(4300);  // ~64.4 ms busy
+    net.Transfer(0, 0, 4300, 0);  // ~64.4 ms busy
   }
   const SimDuration short_window = 10 * kMillisecond;
   EXPECT_DOUBLE_EQ(net.Utilization(short_window), 1.0);
@@ -123,15 +123,17 @@ TEST(NetworkTest, UtilizationClampsAndFlagsSaturation) {
 }
 
 TEST(NetworkTest, AnalyticTransferMatchesRpc) {
-  // With contention off, Transfer() is exactly the analytic Rpc() path:
-  // same latency, same accounting, no queueing.
+  // With contention off, Transfer() is the analytic RpcTime() cost whatever
+  // the link or the time: no queueing, and the busy time is the latency.
   Network a(NetworkConfig{});
   Network b(NetworkConfig{});
   const Network::WireOutcome out = a.Transfer(0, 0, 4096, 123456);
-  EXPECT_EQ(out.latency, b.Rpc(4096));
+  EXPECT_EQ(out.latency, a.RpcTime(4096));
+  EXPECT_EQ(b.Transfer(5, 3, 4096, 0).latency, out.latency);
   EXPECT_EQ(out.queued, 0);
   EXPECT_EQ(out.pacing, 0);
   EXPECT_EQ(out.retransmits, 0);
+  EXPECT_EQ(a.busy_time(), out.latency);
   EXPECT_EQ(a.busy_time(), b.busy_time());
   EXPECT_EQ(a.rpc_count(), 1);
 }

@@ -203,7 +203,7 @@ TEST(ObservabilityTest, CriticalPathReconcilesExactlyWithTheLedger) {
     const RpcKind kind = static_cast<RpcKind>(k);
     const RpcStat& stat = ledger.stat(kind);
     ledger_calls += stat.calls;  // collector counts callbacks among rpcs too
-    if (RpcTransport::IsCallback(kind)) {
+    if (RpcKindInfoOf(kind).callback()) {
       ledger_callbacks += stat.calls;
     }
     ledger_wait += stat.wait_time;

@@ -416,6 +416,31 @@ TEST(RebalanceClusterTest, AddAndRetireKeepEveryFileRoutableOnLiveServers) {
   EXPECT_THROW(cluster.RetireServer(7), std::logic_error) << "unknown server";
 }
 
+TEST(RebalanceClusterTest, AddedServerGetsALinkRecorderUnderContention) {
+  // Regression: the per-link queueing recorders were sized once when
+  // observability attached, so a server added later on a contended network
+  // had its link queueing silently dropped.
+  EventQueue queue;
+  ClusterConfig config = RebCluster(2, 2);
+  config.network.contention = true;
+  config.observability.metrics = true;
+  Cluster cluster(config, queue);
+  const ServerId added = cluster.AddServer();
+  FileId file = 0;
+  while (file < 1000 && cluster.ServerForFile(file).id() != added) {
+    ++file;
+  }
+  ASSERT_EQ(cluster.ServerForFile(file).id(), added);
+  Seed(cluster, file, 16 * kKilobyte, kSecond);
+
+  const MetricsRegistry& metrics = cluster.observability()->metrics();
+  EXPECT_NE(metrics.FindLatency("net.link.0.queued_us"), nullptr);
+  const LatencyRecorder* rec = metrics.FindLatency("net.link.2.queued_us");
+  ASSERT_NE(rec, nullptr);
+  EXPECT_GT(cluster.rpc_ledger().by_server.at(added).calls, 0);
+  EXPECT_GT(rec->count(), 0) << "every exchange to the new server records its queueing";
+}
+
 // ---------------- Determinism and the off-mode gate --------------------------
 
 RpcLedger RunRebalancedWorkload(std::string* report) {

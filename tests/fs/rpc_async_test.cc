@@ -1,7 +1,7 @@
 // Tests for the event-driven RPC completion mode (RpcConfig::async): the
 // per-server FIFO service queue, queue-wait accounting through the ledger
-// and the server.N.queue_us recorder, reply delivery via CallAsync
-// completion events, reopen-priority admission during the recovery grace
+// and the server.N.queue_us recorder, the arrival/completion events behind
+// the depth gauge, reopen-priority admission during the recovery grace
 // window, and determinism / non-perturbation with observability attached.
 
 #include "src/fs/rpc.h"
@@ -120,30 +120,6 @@ TEST(RpcAsyncTest, DepthGaugeFollowsArrivalAndCompletionEvents) {
   EXPECT_EQ(rig.server.service_queue_depth(), 1);
   rig.queue.RunAll();
   EXPECT_EQ(rig.server.service_queue_depth(), 0);
-}
-
-TEST(RpcAsyncTest, CallAsyncDeliversTheReplyOnTheEventQueue) {
-  AsyncRig rig(AsyncRpcConfig());
-  const SimDuration net = Network{NetworkConfig{}}.RpcTime(kBlockSize);
-  const SimDuration service = AsyncRpcConfig().data_service_time;
-
-  SimTime delivered_at = -1;
-  SimDuration reported = -1;
-  rig.transport.CallAsync(RpcKind::kReadBlock, 0, 0, kBlockSize, 0,
-                          [&](SimDuration latency) {
-                            delivered_at = rig.queue.now();
-                            reported = latency;
-                          });
-  EXPECT_EQ(delivered_at, -1) << "the reply is an event, not a synchronous return";
-  rig.queue.RunAll();
-  EXPECT_EQ(reported, net + service);
-  EXPECT_EQ(delivered_at, net + service);
-}
-
-TEST(RpcAsyncTest, CallAsyncWithoutEventQueueThrows) {
-  RpcTransport transport{NetworkConfig{}, AsyncRpcConfig()};
-  EXPECT_THROW(transport.CallAsync(RpcKind::kReadBlock, 0, 0, kBlockSize, 0, [](SimDuration) {}),
-               std::logic_error);
 }
 
 TEST(RpcAsyncTest, DepthLimitBoundsResidencyWithoutChangingFifoTiming) {

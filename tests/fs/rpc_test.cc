@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "src/fs/cluster.h"
@@ -18,34 +19,91 @@ namespace {
 // ---------------- Kind classification ---------------------------------------
 
 TEST(RpcKindTest, ChargedKindsOccupyTheWire) {
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kOpen));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kClose));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kReadBlock));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kWriteBlock));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kUncachedRead));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kUncachedWrite));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kPageIn));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kPageOut));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kReadDir));
-  // Replication shadow traffic is real wire traffic (the cost of running
-  // primary/backup is the point of measuring it).
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kShadowOpen));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kShadowClose));
-  EXPECT_TRUE(RpcTransport::ChargesNetwork(RpcKind::kShadowWrite));
-  // Metadata and consistency callbacks are ledger-only.
-  EXPECT_FALSE(RpcTransport::ChargesNetwork(RpcKind::kCreate));
-  EXPECT_FALSE(RpcTransport::ChargesNetwork(RpcKind::kGetAttr));
-  EXPECT_FALSE(RpcTransport::ChargesNetwork(RpcKind::kRecallDirty));
+  // Every kind's row in the kind table, pinned through the behavior it
+  // drives so the table cannot reclassify a kind silently: the name, the
+  // service lane (read back as the async service time), whether the kind
+  // occupies the wire by default, whether it skips the client fault path
+  // (callbacks), and whether batching defers it.
+  enum Lane { kNoLane, kControl, kData };
+  struct Row {
+    RpcKind kind;
+    const char* name;
+    Lane lane;
+    bool callback;
+    bool batchable;
+  };
+  const Row rows[] = {
+      {RpcKind::kOpen, "open", kControl, false, false},
+      {RpcKind::kClose, "close", kControl, false, false},
+      {RpcKind::kCreate, "create", kNoLane, false, true},
+      {RpcKind::kDelete, "delete", kNoLane, false, true},
+      {RpcKind::kTruncate, "truncate", kNoLane, false, true},
+      {RpcKind::kGetAttr, "getattr", kNoLane, false, true},
+      {RpcKind::kReadBlock, "read-block", kData, false, false},
+      {RpcKind::kWriteBlock, "write-block", kData, false, false},
+      {RpcKind::kUncachedRead, "uncached-read", kData, false, false},
+      {RpcKind::kUncachedWrite, "uncached-write", kData, false, false},
+      {RpcKind::kPageIn, "page-in", kData, false, false},
+      {RpcKind::kPageOut, "page-out", kData, false, false},
+      {RpcKind::kReadDir, "read-dir", kData, false, false},
+      {RpcKind::kReopen, "reopen", kControl, false, false},
+      {RpcKind::kRecallDirty, "recall-dirty", kNoLane, true, true},
+      {RpcKind::kCacheDisable, "cache-disable", kNoLane, true, true},
+      {RpcKind::kCacheEnable, "cache-enable", kNoLane, true, true},
+      {RpcKind::kTokenRecall, "token-recall", kNoLane, true, true},
+      {RpcKind::kDiscardFile, "discard-file", kNoLane, true, true},
+      // Replication shadow traffic is real wire traffic (the cost of running
+      // primary/backup is the point of measuring it), yet batchable.
+      {RpcKind::kShadowOpen, "shadow-open", kControl, false, true},
+      {RpcKind::kShadowClose, "shadow-close", kControl, false, true},
+      {RpcKind::kShadowWrite, "shadow-write", kData, false, true},
+      {RpcKind::kBatch, "batch", kControl, false, false},
+      {RpcKind::kMigrateState, "migrate-state", kControl, false, false},
+      {RpcKind::kMigrateDirty, "migrate-dirty", kData, false, false},
+      {RpcKind::kMigrateCommit, "migrate-commit", kControl, false, false},
+  };
+  ASSERT_EQ(std::size(rows), static_cast<size_t>(kRpcKindCount));
+
+  RpcConfig async;
+  async.async = true;
+  async.control_service_time = 7;
+  async.data_service_time = 11;
+  Server server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  server.EnableServiceQueue(async);
+  RpcConfig batching;
+  batching.batching = true;
+  for (size_t i = 0; i < std::size(rows); ++i) {
+    const Row& row = rows[i];
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(static_cast<size_t>(row.kind), i) << "rows follow enum order";
+    EXPECT_STREQ(RpcKindName(row.kind), row.name);
+    const SimDuration service = row.lane == kControl ? 7 : row.lane == kData ? 11 : 0;
+    EXPECT_EQ(server.AdmitRequest(row.kind, 0, /*priority=*/true).service, service);
+
+    // A kind occupies the wire exactly when it has a service lane.
+    RpcTransport plain{NetworkConfig{}};
+    EXPECT_EQ(plain.Call(row.kind, 0, 0, 0, 0) > 0, row.lane != kNoLane);
+
+    RpcTransport faulted{NetworkConfig{}};
+    faulted.SetServerUnavailable(0, 0, kSecond);
+    faulted.Call(row.kind, 0, 0, 0, 0);
+    EXPECT_EQ(faulted.ledger().stat(row.kind).timeouts == 0, row.callback);
+    EXPECT_EQ(RpcKindInfoOf(row.kind).callback(), row.callback);
+
+    RpcTransport batched{NetworkConfig{}, batching};
+    batched.Call(row.kind, 0, 0, 0, 0);
+    EXPECT_EQ(batched.ledger().batched_ops, row.batchable ? 1 : 0);
+  }
 }
 
 TEST(RpcKindTest, CallbackKinds) {
-  EXPECT_TRUE(RpcTransport::IsCallback(RpcKind::kRecallDirty));
-  EXPECT_TRUE(RpcTransport::IsCallback(RpcKind::kCacheDisable));
-  EXPECT_TRUE(RpcTransport::IsCallback(RpcKind::kCacheEnable));
-  EXPECT_TRUE(RpcTransport::IsCallback(RpcKind::kTokenRecall));
-  EXPECT_TRUE(RpcTransport::IsCallback(RpcKind::kDiscardFile));
-  EXPECT_FALSE(RpcTransport::IsCallback(RpcKind::kOpen));
-  EXPECT_FALSE(RpcTransport::IsCallback(RpcKind::kGetAttr));
+  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kRecallDirty).callback());
+  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kCacheDisable).callback());
+  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kCacheEnable).callback());
+  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kTokenRecall).callback());
+  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kDiscardFile).callback());
+  EXPECT_FALSE(RpcKindInfoOf(RpcKind::kOpen).callback());
+  EXPECT_FALSE(RpcKindInfoOf(RpcKind::kGetAttr).callback());
 }
 
 TEST(RpcKindTest, EveryKindHasAName) {

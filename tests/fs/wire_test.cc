@@ -7,13 +7,16 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/fs/cluster.h"
 #include "src/fs/counters.h"
 #include "src/fs/net.h"
 #include "src/fs/recovery.h"
 #include "src/fs/rpc.h"
+#include "src/fs/server.h"
 #include "src/obs/observability.h"
+#include "src/sim/event_queue.h"
 #include "src/workload/generator.h"
 
 namespace sprite {
@@ -158,6 +161,127 @@ TEST(WireTest, FlushAllWireDrainsPendingBatches) {
   // Idempotent when nothing is pending.
   transport.FlushAllWire(20 * kMillisecond);
   EXPECT_EQ(transport.ledger().batches, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Stage interactions: the wire policy decides whether a call reaches the
+// service queue and which link its exchange queues on.
+
+ObservabilityConfig MetricsAndTracing() {
+  ObservabilityConfig config;
+  config.metrics = true;
+  config.tracing = true;
+  return config;
+}
+
+// A bare transport with one server, wired the way the Cluster wires them,
+// plus a metrics/tracing sink on both.
+struct AsyncWireRig {
+  explicit AsyncWireRig(const RpcConfig& rpc, const NetworkConfig& net = {})
+      : obs(MetricsAndTracing()),
+        transport(net, rpc),
+        server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite) {
+    if (rpc.async) {
+      server.EnableServiceQueue(rpc);
+    }
+    server.AttachObservability(&obs);
+    transport.SetExpectedServers(1);
+    transport.AttachObservability(&obs);
+    transport.BindEventQueue(&queue);
+    transport.RegisterServer(0, &server);
+  }
+  // Admissions so far: the queue-wait recorder samples every one.
+  int64_t admissions() const {
+    const LatencyRecorder* rec = obs.metrics().FindLatency("server.0.queue_us");
+    return rec == nullptr ? 0 : rec->count();
+  }
+
+  Observability obs;
+  EventQueue queue;
+  RpcTransport transport;
+  Server server;
+};
+
+TEST(WireTest, AsyncHonestWireControlExchangeSkipsTheServiceQueue) {
+  RpcConfig rpc;
+  rpc.async = true;
+  rpc.honest_wire = true;
+  AsyncWireRig rig(rpc);
+  // No recent exchange: the getattr pays its own control exchange, but a
+  // lane-less kind never holds the server's service lane.
+  const SimDuration latency = rig.transport.Call(RpcKind::kGetAttr, 0, 0, 0, 0);
+  const RpcStat& getattr = rig.transport.ledger().stat(RpcKind::kGetAttr);
+  EXPECT_EQ(rig.transport.ledger().charged_control_ops, 1);
+  EXPECT_GT(getattr.net_time, 0);
+  EXPECT_EQ(getattr.queue_time, 0);
+  EXPECT_EQ(getattr.service_time, 0);
+  EXPECT_EQ(latency, getattr.net_time);
+  EXPECT_EQ(rig.admissions(), 0);
+  EXPECT_EQ(rig.queue.pending_count(), 0u) << "no arrival/completion events";
+
+  // A kind with a lane on the same transport is admitted.
+  rig.transport.Call(RpcKind::kOpen, 0, 0, kControlRpcBytes, latency);
+  EXPECT_EQ(rig.admissions(), 1);
+  EXPECT_EQ(rig.transport.ledger().stat(RpcKind::kOpen).service_time, rpc.control_service_time);
+  EXPECT_EQ(rig.queue.pending_count(), 2u);
+}
+
+TEST(WireTest, AsyncBatchingAdmitsEachFlushOnceAtControlServiceTime) {
+  RpcConfig rpc;
+  rpc.async = true;
+  rpc.batching = true;
+  rpc.batch_max_ops = 3;
+  AsyncWireRig rig(rpc);
+  // Two full batches; members include the data-lane shadow write, which as
+  // a batch member must not hold the lane either.
+  const RpcKind members[] = {RpcKind::kGetAttr, RpcKind::kShadowWrite, RpcKind::kCreate,
+                             RpcKind::kDelete,  RpcKind::kShadowOpen,  RpcKind::kGetAttr};
+  SimTime now = 0;
+  for (const RpcKind kind : members) {
+    now += rig.transport.Call(kind, 0, 0, kind == RpcKind::kShadowWrite ? kBlockSize : 0, now);
+    now += kMillisecond;
+  }
+  const RpcLedger& ledger = rig.transport.ledger();
+  EXPECT_EQ(ledger.batched_ops, 6);
+  EXPECT_EQ(ledger.batches, 2);
+  for (const RpcKind kind : members) {
+    EXPECT_EQ(ledger.stat(kind).queue_time, 0) << RpcKindName(kind);
+    EXPECT_EQ(ledger.stat(kind).service_time, 0) << RpcKindName(kind);
+  }
+  EXPECT_EQ(ledger.stat(RpcKind::kBatch).service_time, 2 * rpc.control_service_time);
+  EXPECT_EQ(rig.admissions(), 2) << "one admission per flush, none per member";
+  EXPECT_EQ(rig.queue.pending_count(), 4u);
+}
+
+TEST(WireTest, ContendedBatchFlushRecordsLinkQueueing) {
+  RpcConfig rpc;
+  rpc.batching = true;
+  rpc.batch_max_ops = 1;  // every batched op flushes at once
+  NetworkConfig net;
+  net.contention = true;
+  AsyncWireRig rig(rpc, net);
+  // A 64 KB fetch holds the (0, 0) link; a getattr issued behind it flushes
+  // its batch onto the busy link and queues.
+  rig.transport.Call(RpcKind::kReadBlock, 0, 0, 16 * kBlockSize, 0);
+  const SimDuration flush = rig.transport.Call(RpcKind::kGetAttr, 0, 0, 0, kMillisecond);
+  EXPECT_EQ(rig.transport.ledger().batches, 1);
+  EXPECT_EQ(flush, rig.transport.ledger().stat(RpcKind::kBatch).net_time);
+  EXPECT_GT(flush, Network(net).RpcTime(kControlRpcBytes)) << "the flush waited for the link";
+
+  const LatencyRecorder* link = rig.obs.metrics().FindLatency("net.link.0.queued_us");
+  ASSERT_NE(link, nullptr);
+  EXPECT_EQ(link->count(), 2) << "the fetch and the flush";
+  EXPECT_GT(link->total(), 0);
+  int batch_queued = 0;
+  for (const Span& span : rig.obs.tracer().spans()) {
+    if (std::string_view(span.name) == "net.queued" && span.num_args == 2 &&
+        span.args[1].value == static_cast<int64_t>(RpcKind::kBatch)) {
+      ++batch_queued;
+      EXPECT_EQ(span.start, kMillisecond);
+      EXPECT_EQ(span.duration, link->total());
+    }
+  }
+  EXPECT_EQ(batch_queued, 1);
 }
 
 // ---------------------------------------------------------------------------
