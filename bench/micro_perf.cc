@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // substrate: cache operations, the trace codec, the event queue, the
-// distributions, the RPC transport per wire mode, and end-to-end workload
-// generation throughput.
+// distributions, the RPC transport per wire mode, the server's open/close
+// path per consistency policy, and end-to-end workload generation
+// throughput.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
@@ -179,6 +180,55 @@ BENCHMARK_CAPTURE(BM_TransportCall, batch, TransportMode{.batching = true});
 BENCHMARK_CAPTURE(BM_TransportCall, batch_contention,
                   TransportMode{.batching = true, .contention = true});
 BENCHMARK_CAPTURE(BM_TransportCall, async, TransportMode{.async = true});
+
+// One server's open/close path per consistency policy. `sprite_single` is
+// one reader's open and close; the shared cases open a reader, a writer and
+// a second reader of one file from three clients, then close them in that
+// order, so every iteration enters and leaves concurrent write-sharing and
+// fires the policy's callbacks (into no-op clients).
+struct OpenCloseCase {
+  ConsistencyPolicy policy = ConsistencyPolicy::kSprite;
+  bool shared = false;
+};
+
+class NoopControl final : public CacheControl {
+ public:
+  void RecallDirtyData(FileId, SimTime) override {}
+  void DisableCaching(FileId, SimTime) override {}
+  void EnableCaching(FileId, SimTime) override {}
+  void RecallToken(FileId, SimTime, bool) override {}
+  void DiscardFile(FileId, SimTime) override {}
+};
+
+void BM_ServerOpenClose(benchmark::State& state, OpenCloseCase c) {
+  Server server(0, ServerConfig{}, DiskConfig{}, c.policy);
+  NoopControl control;
+  for (ClientId client = 0; client < 3; ++client) {
+    server.RegisterClient(client, &control);
+  }
+  const FileId file = 7;
+  SimTime now = 0;
+  for (auto _ : state) {
+    ++now;
+    benchmark::DoNotOptimize(server.Open(0, file, OpenMode::kRead, /*is_directory=*/false, now));
+    if (c.shared) {
+      benchmark::DoNotOptimize(server.Open(1, file, OpenMode::kWrite, false, now));
+      benchmark::DoNotOptimize(server.Open(2, file, OpenMode::kRead, false, now));
+    }
+    benchmark::DoNotOptimize(server.Close(0, file, OpenMode::kRead, /*wrote=*/false, 0, now));
+    if (c.shared) {
+      benchmark::DoNotOptimize(server.Close(1, file, OpenMode::kWrite, false, 0, now));
+      benchmark::DoNotOptimize(server.Close(2, file, OpenMode::kRead, false, 0, now));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ServerOpenClose, sprite_single, OpenCloseCase{});
+BENCHMARK_CAPTURE(BM_ServerOpenClose, sprite_shared, OpenCloseCase{.shared = true});
+BENCHMARK_CAPTURE(BM_ServerOpenClose, modified_shared,
+                  OpenCloseCase{.policy = ConsistencyPolicy::kSpriteModified, .shared = true});
+BENCHMARK_CAPTURE(BM_ServerOpenClose, token_shared,
+                  OpenCloseCase{.policy = ConsistencyPolicy::kToken, .shared = true});
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(10000, 0.8);

@@ -159,6 +159,10 @@ ServerId Cluster::RouteHome(FileId file) const {
   return rebalancer_ != nullptr ? rebalancer_->Route(file) : sharder_->ServerFor(file);
 }
 
+std::function<bool(FileId)> Cluster::HomeFilter(ServerId home) const {
+  return [this, home](FileId file) { return RouteHome(file) == home; };
+}
+
 Server& Cluster::ServerForFile(FileId file) {
   const ServerId home = RouteHome(file);
   // The ledger records the POLICY's placement decision; which physical
@@ -307,11 +311,12 @@ MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to, SimTi
   }
   Server& src = *servers_.at(src_id);
   Server& dst = *servers_.at(dst_id);
-  // Crash safety first: the file's dirty server-cache extents reach the
-  // source's own disk before anything moves, so a crash at any point of the
-  // protocol can lose at most what a crash without migration would.
-  const int64_t flushed = src.FlushFileDirty(file, now);
+  // Crash safety first: the export writes the file's dirty server-cache
+  // extents to the source's own disk before anything moves, so a crash at
+  // any point of the protocol can lose at most what a crash without
+  // migration would.
   const Server::MigratedFile image = src.ExportFile(file, now);
+  const int64_t flushed = image.flushed_bytes;
   if (!image.valid) {
     return out;  // raced with nothing homed here: no state was touched
   }
@@ -341,8 +346,8 @@ MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to, SimTi
       servers_[replica_->standby(from)]->DropShadowFile(file);
     }
     if (replica_->shadowing(to)) {
-      servers_[replica_->standby(to)]->ResyncShadowFrom(
-          dst, [file](FileId f) { return f == file; });
+      servers_[replica_->standby(to)]->ResyncShadowFrom(dst,
+                                                        [file](FileId f) { return f == file; });
     }
   }
   if (obs_ != nullptr && obs_->tracing_enabled()) {
@@ -540,30 +545,10 @@ TrafficCounters Cluster::AggregateTrafficCounters() const {
 int64_t Cluster::CrashServer(ServerId server, SimDuration down_for) {
   const SimTime now = queue_.now();
   Server& s = *servers_.at(server);
-  // Both paths maintain down_until_: the rebalancer consults it (IsDown) so
-  // migrations never target or pull from a server mid-outage.
+  // Overlapping crashes extend the outage (a stale rejoin event checks
+  // down_until_ and yields to the later one). The rebalancer consults it too
+  // (IsDown), so migrations never target or pull from a server mid-outage.
   down_until_[server] = std::max(down_until_[server], now + down_for);
-  if (replica_ == nullptr) {
-    const int64_t lost = s.Crash(now);
-    // The transport learns the new epoch immediately: no request completes
-    // while the server is down, so the bump cannot be observed early.
-    transport_->ScheduleServerCrash(server, now, now + down_for, s.epoch());
-    if (server_crash_counter_ != nullptr) {
-      server_crash_counter_->Add();
-      server_crash_dirty_lost_->Add(lost);
-    }
-    if (obs_ != nullptr && obs_->tracing_enabled()) {
-      const auto epoch = static_cast<int64_t>(s.epoch());
-      obs_->tracer().Emit("server.down", "recovery", ServerTrack(server), now, down_for,
-                          {{"epoch", epoch}, {"dirty_lost", lost}});
-      obs_->tracer().Emit("server.recovering", "recovery", ServerTrack(server), now + down_for,
-                          transport_->config().recovery_grace, {{"epoch", epoch}});
-    }
-    return lost;
-  }
-
-  // Replication path. Overlapping crashes extend the outage; the stale
-  // rejoin event checks down_until_ and yields to the later one.
   const int64_t lost = s.Crash(now);
   if (server_crash_counter_ != nullptr) {
     server_crash_counter_->Add();
@@ -574,66 +559,71 @@ int64_t Cluster::CrashServer(ServerId server, SimDuration down_for) {
     obs_->tracer().Emit("server.down", "recovery", ServerTrack(server), now, down_for,
                         {{"epoch", epoch}, {"dirty_lost", lost}});
   }
-  bool degraded = false;
-  for (ServerId home : replica_->HomesActiveOn(server)) {
-    if (!replica_->shadowing(home)) {
-      // No live shadow (the standby is down too, or has not resynced after
-      // its own crash): this home rides out the classic reopen-storm
-      // recovery below.
-      degraded = true;
-      continue;
+  // Without replication no home has a shadow: every home the server serves
+  // is degraded.
+  bool degraded = replica_ == nullptr;
+  if (replica_ != nullptr) {
+    for (ServerId home : replica_->HomesActiveOn(server)) {
+      if (!replica_->shadowing(home)) {
+        // No live shadow (the standby is down too, or has not resynced
+        // after its own crash): this home rides out the classic
+        // reopen-storm recovery below.
+        degraded = true;
+        continue;
+      }
+      // Fail over: the standby becomes the home's active replica. It adopts
+      // the home's disk image, replays the shadow delta into real state,
+      // and is unavailable while the failure detector fires and the replay
+      // runs — that window is the fail-over availability gap.
+      const ServerId backup = replica_->standby(home);
+      replica_->Promote(home);
+      const Server::FailoverDelta delta = servers_[backup]->TakeOver(s, HomeFilter(home), now);
+      const SimDuration failover_us = config_.replication.detection_delay +
+                                      delta.entries * config_.replication.replay_per_entry;
+      transport_->SetServerUnavailable(backup, now, now + failover_us);
+      ++failovers_;
+      preserved_bytes_ += delta.preserved_bytes;
+      total_failover_us_ += failover_us;
+      if (failover_rec_ != nullptr) {
+        failover_rec_->Record(failover_us);
+        failover_counter_->Add();
+        preserved_counter_->Add(delta.preserved_bytes);
+      }
+      if (tracing) {
+        obs_->tracer().Emit("failover", "recovery", ServerTrack(backup), now, failover_us,
+                            {{"home", static_cast<int64_t>(home)},
+                             {"entries", delta.entries},
+                             {"files_adopted", delta.files_adopted},
+                             {"preserved_bytes", delta.preserved_bytes}});
+      }
     }
-    // Fail over: the standby becomes the home's active replica. It adopts
-    // the home's disk image, replays the shadow delta into real state, and
-    // is unavailable while the failure detector fires and the replay runs —
-    // that window is the fail-over availability gap.
-    const ServerId backup = replica_->standby(home);
-    replica_->Promote(home);
-    Server& b = *servers_[backup];
-    const auto mine = [this, home](FileId f) { return RouteHome(f) == home; };
-    const int64_t files_adopted = b.TakeOverMetadata(s, mine);
-    const Server::FailoverDelta delta = b.InstallShadow(mine, now);
-    const SimDuration failover_us = config_.replication.detection_delay +
-                                    delta.entries * config_.replication.replay_per_entry;
-    transport_->SetServerUnavailable(backup, now, now + failover_us);
-    ++failovers_;
-    preserved_bytes_ += delta.preserved_bytes;
-    total_failover_us_ += failover_us;
-    if (failover_rec_ != nullptr) {
-      failover_rec_->Record(failover_us);
-      failover_counter_->Add();
-      preserved_counter_->Add(delta.preserved_bytes);
+    // Shadows this server was providing die with its memory; the homes they
+    // covered fail over no more until it rejoins and resyncs.
+    for (ServerId home : replica_->HomesStandbyOn(server)) {
+      replica_->SetShadowing(home, false);
     }
-    if (tracing) {
-      obs_->tracer().Emit("failover", "recovery", ServerTrack(backup), now, failover_us,
-                          {{"home", static_cast<int64_t>(home)},
-                           {"entries", delta.entries},
-                           {"files_adopted", files_adopted},
-                           {"preserved_bytes", delta.preserved_bytes}});
+    if (degraded) {
+      ++degraded_crashes_;
+      if (degraded_counter_ != nullptr) {
+        degraded_counter_->Add();
+      }
     }
-  }
-  // Shadows this server was providing die with its memory; the homes they
-  // covered fail over no more until it rejoins and resyncs.
-  for (ServerId home : replica_->HomesStandbyOn(server)) {
-    replica_->SetShadowing(home, false);
+    queue_.Schedule(now + down_for, [this, server] { RejoinServer(server); });
   }
   if (degraded) {
-    // Correlated failure: classic Sprite recovery for the unshadowed homes —
-    // epoch bump, reopen storm, grace window, dirty bytes lost.
-    ++degraded_crashes_;
+    // Classic Sprite recovery: epoch bump, reopen storm, grace window, dirty
+    // bytes lost. The transport learns the new epoch immediately: no request
+    // completes while the server is down, so the bump cannot be observed
+    // early.
     transport_->ScheduleServerCrash(server, now, now + down_for, s.epoch());
     if (server_crash_dirty_lost_ != nullptr) {
       server_crash_dirty_lost_->Add(lost);
-    }
-    if (degraded_counter_ != nullptr) {
-      degraded_counter_->Add();
     }
     if (tracing) {
       obs_->tracer().Emit("server.recovering", "recovery", ServerTrack(server), now + down_for,
                           transport_->config().recovery_grace, {{"epoch", epoch}});
     }
   }
-  queue_.Schedule(now + down_for, [this, server] { RejoinServer(server); });
   return lost;
 }
 
@@ -660,8 +650,7 @@ void Cluster::RejoinServer(ServerId server) {
     if (now < down_until_[active]) {
       continue;  // correlated crash: the active is down too; re-arm when it rejoins
     }
-    const auto mine = [this, home](FileId f) { return RouteHome(f) == home; };
-    servers_[server]->ResyncShadowFrom(*servers_[active], mine);
+    servers_[server]->ResyncShadowFrom(*servers_[active], HomeFilter(home));
     resynced(server, home);
   }
   // Heal deferred shadows for homes this server serves whose standby is
@@ -674,8 +663,7 @@ void Cluster::RejoinServer(ServerId server) {
     if (now < down_until_[standby]) {
       continue;
     }
-    const auto mine = [this, home](FileId f) { return RouteHome(f) == home; };
-    servers_[standby]->ResyncShadowFrom(*servers_[server], mine);
+    servers_[standby]->ResyncShadowFrom(*servers_[server], HomeFilter(home));
     resynced(standby, home);
   }
 }

@@ -17,6 +17,7 @@
 #ifndef SPRITE_DFS_SRC_FS_CLUSTER_H_
 #define SPRITE_DFS_SRC_FS_CLUSTER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -207,6 +208,9 @@ class Cluster : private RebalanceHost {
   // physical server serves the slot is the replication layer's concern
   // (replica_->active). Pure — no placement-ledger note.
   ServerId RouteHome(FileId file) const;
+  // Selects the files routed to home slot `home`: the set a fail-over takes
+  // over and a resync shadows.
+  std::function<bool(FileId)> HomeFilter(ServerId home) const;
 
   // RebalanceHost: the Rebalancer's view of the cluster. Ids are home
   // slots; under replication they map through replica_->active to the
@@ -217,9 +221,10 @@ class Cluster : private RebalanceHost {
   std::vector<std::pair<FileId, int64_t>> HomedFiles(ServerId server) const override;
   int64_t HomedBytes(ServerId server) const override;
   // Executes the charged three-RPC migration protocol for one file
-  // (DESIGN.md §11): flush the source's dirty extents for the file to its
-  // own disk (crash-safety: the image is never volatile-dirty), export the
-  // metadata + open-state image, charge kMigrateState/kMigrateDirty to the
+  // (DESIGN.md §11): export the file from the source, which first flushes
+  // its dirty extents for the file to the source's own disk (crash-safety:
+  // the image is never volatile-dirty) and then takes the metadata +
+  // open-state image, charge kMigrateState/kMigrateDirty to the
   // source and kMigrateCommit to the destination as real transport calls
   // from the virtual migration coordinator (client id = num_clients), import
   // on the destination, and freeze new opens of the file there until the

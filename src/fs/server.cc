@@ -6,6 +6,64 @@
 
 namespace sprite {
 
+namespace {
+
+using OpenCount = Server::OpenCount;
+
+// The sorted-by-client helpers shared by every open list: the open table,
+// the standby's shadow, and a migration image.
+template <typename Opens>
+auto FindClient(Opens& opens, ClientId client) {
+  return std::lower_bound(opens.begin(), opens.end(), client,
+                          [](const OpenCount& e, ClientId c) { return e.client < c; });
+}
+
+// Find-or-insert `client`'s entry.
+OpenCount& CountFor(std::vector<OpenCount>& opens, ClientId client) {
+  auto it = FindClient(opens, client);
+  if (it == opens.end() || it->client != client) {
+    it = opens.insert(it, OpenCount{client, 0, 0});
+  }
+  return *it;
+}
+
+void AddOpen(std::vector<OpenCount>& opens, ClientId client, OpenMode mode) {
+  OpenCount& open = CountFor(opens, client);
+  ++(mode != OpenMode::kRead ? open.writers : open.readers);
+}
+
+// Removes one open of `mode`; the entry goes once both counts reach zero.
+void RemoveOpen(std::vector<OpenCount>& opens, ClientId client, OpenMode mode) {
+  auto it = FindClient(opens, client);
+  if (it == opens.end() || it->client != client) {
+    return;
+  }
+  int& counter = mode != OpenMode::kRead ? it->writers : it->readers;
+  if (counter > 0) {
+    --counter;
+  }
+  if (it->readers == 0 && it->writers == 0) {
+    opens.erase(it);
+  }
+}
+
+void DropClient(std::vector<OpenCount>& opens, ClientId client) {
+  auto it = FindClient(opens, client);
+  if (it != opens.end() && it->client == client) {
+    opens.erase(it);
+  }
+}
+
+// Concurrent write-sharing: open on more than one client with at least one
+// writer. Every caller reads it at most once per mutation, so it is
+// recomputed rather than cached.
+bool IsWriteShared(const std::vector<OpenCount>& opens) {
+  return opens.size() >= 2 && std::any_of(opens.begin(), opens.end(),
+                                          [](const OpenCount& o) { return o.writers > 0; });
+}
+
+}  // namespace
+
 Server::Server(ServerId id, const ServerConfig& config, const DiskConfig& disk_config,
                ConsistencyPolicy policy)
     : id_(id),
@@ -107,11 +165,15 @@ Server::Admission Server::AdmitRequest(RpcKind kind, SimTime arrival, bool prior
   return adm;
 }
 
-SimDuration Server::DiskWrite(BlockKey key, int64_t bytes) {
+SimDuration Server::FlushToDisk(BlockKey key, int64_t bytes) {
   const SimDuration t =
       segment_log_ != nullptr ? segment_log_->Write(key, bytes) : disk_.Write(bytes);
   if (disk_latency_rec_ != nullptr) {
     disk_latency_rec_->Record(t);
+  }
+  if (shadow_flush_hook_) {
+    // The block is durable now; the standby can drop its shadow extent.
+    shadow_flush_hook_(key.file, key.index);
   }
   return t;
 }
@@ -134,16 +196,6 @@ void Server::RegisterClient(ClientId client, CacheControl* control) {
 
 CacheControl* Server::ControlFor(ClientId client) const {
   return client < clients_.size() ? clients_[client] : nullptr;
-}
-
-Server::OpenEntry& Server::OpenFor(OpenState& state, ClientId client) {
-  auto it = std::lower_bound(
-      state.opens.begin(), state.opens.end(), client,
-      [](const OpenEntry& e, ClientId c) { return e.client < c; });
-  if (it == state.opens.end() || it->client != client) {
-    it = state.opens.insert(it, OpenEntry{client, 0, 0});
-  }
-  return *it;
 }
 
 Server::FileMeta& Server::EnsureFile(FileId file) {
@@ -229,34 +281,12 @@ int64_t Server::HomedBytes() const {
   return total;
 }
 
-bool Server::ComputeWriteShared(const OpenState& state) {
-  if (state.opens.size() < 2) {
-    return false;
-  }
-  for (const OpenEntry& open : state.opens) {
-    if (open.writers > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Server::OpenStateSharingConsistent() const {
-  for (const auto& [file, state] : open_states_) {
-    (void)file;
-    if (state.write_shared != ComputeWriteShared(state)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool writer_open,
                             bool count, SimTime now, OpenReply* reply) {
   switch (policy_) {
     case ConsistencyPolicy::kSprite:
     case ConsistencyPolicy::kSpriteModified: {
-      if (IsWriteShared(state)) {
+      if (IsWriteShared(state.opens)) {
         if (count) {
           ++counters_.write_sharing_opens;
         }
@@ -265,7 +295,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
         }
         if (state.cacheable) {
           state.cacheable = false;
-          for (const OpenEntry& open : state.opens) {
+          for (const OpenCount& open : state.opens) {
             if (CacheControl* control = ControlFor(open.client)) {
               control->DisableCaching(file, now);
             }
@@ -276,7 +306,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
     }
     case ConsistencyPolicy::kToken: {
       // The file stays cacheable; conflicting opens recall tokens instead.
-      if (IsWriteShared(state)) {
+      if (IsWriteShared(state.opens)) {
         if (count) {
           ++counters_.write_sharing_opens;
         }
@@ -286,7 +316,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
       }
       if (writer_open) {
         // A write token conflicts with every other client's token.
-        for (const OpenEntry& open : state.opens) {
+        for (const OpenCount& open : state.opens) {
           if (open.client != client) {
             if (CacheControl* control = ControlFor(open.client)) {
               control->RecallToken(file, now, /*invalidate=*/true);
@@ -295,7 +325,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
         }
       } else {
         // A read token conflicts only with another client's write token.
-        for (const OpenEntry& open : state.opens) {
+        for (const OpenCount& open : state.opens) {
           if (open.client != client && open.writers > 0) {
             if (CacheControl* control = ControlFor(open.client)) {
               control->RecallToken(file, now, /*invalidate=*/false);
@@ -342,17 +372,8 @@ Server::OpenReply Server::Open(ClientId client, FileId file, OpenMode mode, bool
     meta.last_writer.reset();
   }
 
-  // Register this open.
-  OpenEntry& open = OpenFor(state, client);
-  const bool writer_open = mode != OpenMode::kRead;
-  if (writer_open) {
-    ++open.writers;
-  } else {
-    ++open.readers;
-  }
-  UpdateWriteShared(state);
-
-  EnforceSharing(file, state, client, writer_open, /*count=*/true, now, &reply);
+  AddOpen(state.opens, client, mode);
+  EnforceSharing(file, state, client, mode != OpenMode::kRead, /*count=*/true, now, &reply);
 
   reply.version = meta.version;
   reply.cacheable = state.cacheable;
@@ -380,48 +401,43 @@ Server::CloseReply Server::Close(ClientId client, FileId file, OpenMode mode, bo
     return reply;
   }
   OpenState& state = state_it->second;
-  auto open_it = std::lower_bound(
-      state.opens.begin(), state.opens.end(), client,
-      [](const OpenEntry& e, ClientId c) { return e.client < c; });
-  if (open_it != state.opens.end() && open_it->client == client) {
-    const bool writer_open = mode != OpenMode::kRead;
-    int& counter = writer_open ? open_it->writers : open_it->readers;
-    if (counter > 0) {
-      --counter;
-    }
-    if (open_it->readers == 0 && open_it->writers == 0) {
-      state.opens.erase(open_it);
-    }
-    UpdateWriteShared(state);
-  }
-
-  if (!state.cacheable) {
-    const bool reenable =
-        policy_ == ConsistencyPolicy::kSpriteModified ? !IsWriteShared(state) : state.opens.empty();
-    if (reenable) {
-      state.cacheable = true;
-      for (const OpenEntry& open : state.opens) {
-        if (CacheControl* control = ControlFor(open.client)) {
-          control->EnableCaching(file, now);
-        }
-      }
-    }
-  }
+  RemoveOpen(state.opens, client, mode);
+  MaybeReenableCaching(file, state, now);
   if (state.opens.empty()) {
     open_states_.erase(state_it);
   }
   return reply;
 }
 
+void Server::MaybeReenableCaching(FileId file, OpenState& state, SimTime now) {
+  if (state.cacheable) {
+    return;
+  }
+  const bool reenable = policy_ == ConsistencyPolicy::kSpriteModified
+                            ? !IsWriteShared(state.opens)
+                            : state.opens.empty();
+  if (!reenable) {
+    return;
+  }
+  state.cacheable = true;
+  for (const OpenCount& open : state.opens) {
+    if (CacheControl* control = ControlFor(open.client)) {
+      control->EnableCaching(file, now);
+    }
+  }
+}
+
 SimDuration Server::TouchServerCache(FileId file, int64_t block, bool write, int64_t bytes,
                                      SimTime now) {
   const BlockKey key{file, block};
   SimDuration disk_time = 0;
+  // A dirty replacement victim goes to disk, so a full cache never drops
+  // dirty bytes silently.
   if (write) {
-    cache_.Write(key, now, std::min<int64_t>(bytes, kBlockSize), /*writeback=*/nullptr);
+    cache_.Write(key, now, std::min<int64_t>(bytes, kBlockSize), ToDisk());
   } else if (!cache_.Lookup(key, now)) {
     disk_time = DiskRead(key, kBlockSize);
-    cache_.InsertClean(key, now, /*writeback=*/nullptr);
+    cache_.InsertClean(key, now, ToDisk());
   }
   return disk_time;
 }
@@ -498,12 +514,7 @@ void Server::ClientCrashed(ClientId client, SimTime now) {
   // extents stay: the writebacks carrying them did complete on the primary.
   for (auto it = shadow_.begin(); it != shadow_.end();) {
     ShadowFile& sf = it->second;
-    auto open_it = std::lower_bound(
-        sf.opens.begin(), sf.opens.end(), client,
-        [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-    if (open_it != sf.opens.end() && open_it->client == client) {
-      sf.opens.erase(open_it);
-    }
+    DropClient(sf.opens, client);
     if (sf.last_writer == client) {
       sf.last_writer.reset();
     }
@@ -511,31 +522,9 @@ void Server::ClientCrashed(ClientId client, SimTime now) {
   }
   for (auto it = open_states_.begin(); it != open_states_.end();) {
     OpenState& state = it->second;
-    auto open_it = std::lower_bound(
-        state.opens.begin(), state.opens.end(), client,
-        [](const OpenEntry& e, ClientId c) { return e.client < c; });
-    if (open_it != state.opens.end() && open_it->client == client) {
-      state.opens.erase(open_it);
-    }
-    UpdateWriteShared(state);
-    if (!state.cacheable) {
-      const bool reenable = policy_ == ConsistencyPolicy::kSpriteModified
-                                ? !IsWriteShared(state)
-                                : state.opens.empty();
-      if (reenable) {
-        state.cacheable = true;
-        for (const OpenEntry& open : state.opens) {
-          if (CacheControl* control = ControlFor(open.client)) {
-            control->EnableCaching(it->first, now);
-          }
-        }
-      }
-    }
-    if (state.opens.empty()) {
-      it = open_states_.erase(it);
-    } else {
-      ++it;
-    }
+    DropClient(state.opens, client);
+    MaybeReenableCaching(it->first, state, now);
+    it = state.opens.empty() ? open_states_.erase(it) : std::next(it);
   }
 }
 
@@ -593,18 +582,11 @@ Server::ReopenReply Server::Reopen(ClientId client, FileId file, OpenMode mode,
   }
   if (has_handle) {
     OpenState& state = open_states_[file];
-    OpenEntry& open = OpenFor(state, client);
-    const bool writer_open = mode != OpenMode::kRead;
-    if (writer_open) {
-      ++open.writers;
-    } else {
-      ++open.readers;
-    }
-    UpdateWriteShared(state);
+    AddOpen(state.opens, client, mode);
     // Re-registration can recreate concurrent write-sharing among the
     // already-reopened handles; the usual callbacks fire, but these are not
     // new opens, so Table 10's counters are untouched.
-    EnforceSharing(file, state, client, writer_open, /*count=*/false, now, nullptr);
+    EnforceSharing(file, state, client, mode != OpenMode::kRead, /*count=*/false, now, nullptr);
     reply.cacheable = state.cacheable;
   }
   reply.version = meta.version;
@@ -614,18 +596,7 @@ Server::ReopenReply Server::Reopen(ClientId client, FileId file, OpenMode mode,
 // --- Primary/backup replication: the standby's shadow ------------------------
 
 void Server::ShadowOpen(ClientId client, FileId file, OpenMode mode) {
-  ShadowFile& sf = shadow_[file];
-  auto it = std::lower_bound(
-      sf.opens.begin(), sf.opens.end(), client,
-      [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-  if (it == sf.opens.end() || it->client != client) {
-    it = sf.opens.insert(it, ShadowOpenEntry{client, 0, 0});
-  }
-  if (mode != OpenMode::kRead) {
-    ++it->writers;
-  } else {
-    ++it->readers;
-  }
+  AddOpen(shadow_[file].opens, client, mode);
 }
 
 void Server::ShadowClose(ClientId client, FileId file, OpenMode mode, bool wrote) {
@@ -637,18 +608,7 @@ void Server::ShadowClose(ClientId client, FileId file, OpenMode mode, bool wrote
   if (wrote) {
     sf.last_writer = client;  // the closer's cache holds the newest data
   }
-  auto it = std::lower_bound(
-      sf.opens.begin(), sf.opens.end(), client,
-      [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-  if (it != sf.opens.end() && it->client == client) {
-    int& counter = mode != OpenMode::kRead ? it->writers : it->readers;
-    if (counter > 0) {
-      --counter;
-    }
-    if (it->readers == 0 && it->writers == 0) {
-      sf.opens.erase(it);
-    }
-  }
+  RemoveOpen(sf.opens, client, mode);
   if (sf.empty()) {
     shadow_.erase(sit);
   }
@@ -685,13 +645,13 @@ bool Server::HasShadowOpen(FileId file, ClientId client) const {
     return false;
   }
   const auto& opens = sit->second.opens;
-  auto it = std::lower_bound(
-      opens.begin(), opens.end(), client,
-      [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
+  const auto it = FindClient(opens, client);
   return it != opens.end() && it->client == client;
 }
 
-int64_t Server::TakeOverMetadata(Server& failed, const std::function<bool(FileId)>& mine) {
+Server::FailoverDelta Server::TakeOver(Server& failed, const std::function<bool(FileId)>& mine,
+                                       SimTime now) {
+  FailoverDelta delta;
   std::vector<FileId> moved;
   for (const auto& [file, meta] : failed.files_) {
     (void)meta;
@@ -705,41 +665,23 @@ int64_t Server::TakeOverMetadata(Server& failed, const std::function<bool(FileId
     files_[file] = failed.files_[file];
     failed.files_.erase(file);
   }
-  return static_cast<int64_t>(moved.size());
-}
-
-Server::FailoverDelta Server::InstallShadow(const std::function<bool(FileId)>& mine,
-                                            SimTime now) {
-  FailoverDelta delta;
+  delta.files_adopted = static_cast<int64_t>(moved.size());
   for (auto it = shadow_.begin(); it != shadow_.end();) {
     const FileId file = it->first;
     if (!mine(file)) {
       ++it;
       continue;
     }
-    ShadowFile& sf = it->second;
+    const ShadowFile& sf = it->second;
     auto fit = files_.find(file);
     if (fit != files_.end() && fit->second.exists && !fit->second.is_directory) {
-      if (!sf.opens.empty()) {
-        OpenState& state = open_states_[file];
-        for (const ShadowOpenEntry& e : sf.opens) {
-          OpenEntry& open = OpenFor(state, e.client);
-          open.readers += e.readers;
-          open.writers += e.writers;
-          ++delta.entries;
-        }
-        UpdateWriteShared(state);
-        // Mirror what the failed primary had already enforced on the clients
-        // (they were told to stop caching when sharing began); no callbacks
-        // fire here — promotion installs state, it does not renegotiate.
-        state.cacheable =
-            policy_ == ConsistencyPolicy::kToken ? true : !IsWriteShared(state);
-      }
+      InstallOpens(file, sf.opens, /*cacheable=*/std::nullopt);
+      delta.entries += static_cast<int64_t>(sf.opens.size());
       if (sf.last_writer.has_value()) {
         fit->second.last_writer = sf.last_writer;
       }
       for (const auto& [block, extent] : sf.dirty) {
-        cache_.Write(BlockKey{file, block}, now, extent, /*writeback=*/nullptr);
+        cache_.Write(BlockKey{file, block}, now, extent, ToDisk());
         delta.preserved_bytes += extent;
         ++delta.entries;
       }
@@ -747,6 +689,22 @@ Server::FailoverDelta Server::InstallShadow(const std::function<bool(FileId)>& m
     it = shadow_.erase(it);
   }
   return delta;
+}
+
+void Server::InstallOpens(FileId file, const std::vector<OpenCount>& opens,
+                          std::optional<bool> cacheable) {
+  if (opens.empty()) {
+    return;
+  }
+  OpenState& state = open_states_[file];
+  for (const OpenCount& e : opens) {
+    OpenCount& open = CountFor(state.opens, e.client);
+    open.readers += e.readers;
+    open.writers += e.writers;
+  }
+  state.cacheable = cacheable.has_value()
+                        ? *cacheable
+                        : policy_ == ConsistencyPolicy::kToken || !IsWriteShared(state.opens);
 }
 
 void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(FileId)>& mine) {
@@ -766,10 +724,7 @@ void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(Fi
     }
     ShadowFile sf;
     if (auto oit = primary.open_states_.find(file); oit != primary.open_states_.end()) {
-      sf.opens.reserve(oit->second.opens.size());
-      for (const OpenEntry& e : oit->second.opens) {
-        sf.opens.push_back(ShadowOpenEntry{e.client, e.readers, e.writers});
-      }
+      sf.opens = oit->second.opens;
     }
     sf.last_writer = meta.last_writer;
     primary.cache_.ForEachDirtyBlock(file, [&sf](int64_t block, int64_t extent) {
@@ -783,21 +738,9 @@ void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(Fi
 
 // --- Live rebalancing: charged home migration ---------------------------------
 
-int64_t Server::FlushFileDirty(FileId file, SimTime now) {
-  int64_t flushed = 0;
-  cache_.CleanFile(file, now, CleanReason::kRecall, [&](BlockKey key, int64_t bytes) {
-    flushed += bytes;
-    DiskWrite(key, bytes);
-    if (shadow_flush_hook_) {
-      // Durable on the source now; the standby can drop its shadow extent.
-      shadow_flush_hook_(key.file, key.index);
-    }
-  });
-  return flushed;
-}
-
 Server::MigratedFile Server::ExportFile(FileId file, SimTime now) {
   MigratedFile image;
+  image.flushed_bytes = cache_.CleanFile(file, now, CleanReason::kRecall, ToDisk());
   auto fit = files_.find(file);
   if (fit == files_.end()) {
     return image;
@@ -807,10 +750,7 @@ Server::MigratedFile Server::ExportFile(FileId file, SimTime now) {
   files_.erase(fit);
   if (auto oit = open_states_.find(file); oit != open_states_.end()) {
     image.cacheable = oit->second.cacheable;
-    image.opens.reserve(oit->second.opens.size());
-    for (const OpenEntry& e : oit->second.opens) {
-      image.opens.push_back(MigratedOpen{e.client, e.readers, e.writers});
-    }
+    image.opens = std::move(oit->second.opens);
     open_states_.erase(oit);
   }
   // Post-flush the cached blocks are clean; drop them so a stale copy can
@@ -824,18 +764,7 @@ void Server::ImportFile(FileId file, const MigratedFile& image) {
     return;
   }
   files_[file] = image.meta;
-  if (!image.opens.empty()) {
-    OpenState& state = open_states_[file];
-    for (const MigratedOpen& e : image.opens) {
-      OpenEntry& open = OpenFor(state, e.client);
-      open.readers += e.readers;
-      open.writers += e.writers;
-    }
-    UpdateWriteShared(state);
-    // The old home already enforced sharing on the clients; installation
-    // adopts its verdict rather than renegotiating.
-    state.cacheable = image.cacheable;
-  }
+  InstallOpens(file, image.opens, image.cacheable);
 }
 
 void Server::FreezeFileUntil(FileId file, SimTime until) {
@@ -895,12 +824,8 @@ void Server::CleanerTick(SimTime now) {
   SimDuration disk_time = 0;
   int64_t blocks = 0;
   cache_.CleanAged(now, [&](BlockKey key, int64_t bytes) {
-    disk_time += DiskWrite(key, bytes);
+    disk_time += FlushToDisk(key, bytes);
     ++blocks;
-    if (shadow_flush_hook_) {
-      // The block is durable now; the standby can drop its shadow extent.
-      shadow_flush_hook_(key.file, key.index);
-    }
   });
   if (obs_ != nullptr && obs_->tracing_enabled() && blocks > 0) {
     obs_->tracer().Emit("server.clean-aged", "server", ServerTrack(id_), now, disk_time,

@@ -67,6 +67,19 @@ class Server {
     std::optional<ClientId> last_writer;
   };
 
+  // One client's open handles on one file: the layout shared by the open
+  // table, the standby's shadow, and a migration image. Lists of them are
+  // flat vectors sorted by client id: a file is rarely open on more than a
+  // couple of clients, so a sorted vector beats a std::map node per client,
+  // and ascending order gives the consistency engine its deterministic
+  // callback order (DisableCaching/EnableCaching/RecallToken fire in
+  // client-id order).
+  struct OpenCount {
+    ClientId client = 0;
+    int readers = 0;
+    int writers = 0;
+  };
+
   struct OpenReply {
     uint64_t version = 1;
     bool cacheable = true;
@@ -173,7 +186,7 @@ class Server {
   // registrations, last-writer updates, and per-block dirty extents. The
   // shadow is inert bookkeeping — no callbacks, no consistency actions —
   // until a fail-over turns it into real open state and cached dirty blocks
-  // (InstallShadow). Files are ordered so the replay is deterministic.
+  // (TakeOver). Files are ordered so the replay is deterministic.
 
   // Mirror one open registration (ServerStub::Open/Reopen on the primary).
   void ShadowOpen(ClientId client, FileId file, OpenMode mode);
@@ -184,10 +197,11 @@ class Server {
   void ShadowWriteback(FileId file, int64_t block, int64_t bytes);
   // Reassert `client` as the file's last writer (dirty reopen piggyback).
   void ShadowLastWriter(FileId file, ClientId client);
-  // Drop the shadow dirty extent for one block: the primary's cleaner put it
-  // on disk, so the block no longer needs the shadow to survive a crash (the
-  // backup adopts the disk image at fail-over). Piggybacks on the primary's
-  // flush batching — no wire charge.
+  // Drop the shadow dirty extent for one block: the primary put it on disk
+  // (cleaner, migration flush, or replacement), so the block no longer
+  // needs the shadow to survive a crash (the backup adopts the disk image
+  // at fail-over). Piggybacks on the primary's flush batching — no wire
+  // charge.
   void ShadowBlockClean(FileId file, int64_t block);
   // Cluster wiring: called (file, block) after this server writes a dirty
   // cache block to disk, so the standby shadowing the file's home can drop
@@ -199,25 +213,22 @@ class Server {
   // (directories, opens predating shadowing) issue no shadow RPC.
   bool HasShadowOpen(FileId file, ClientId client) const;
 
-  // What a fail-over replayed from the shadow.
+  // What a fail-over adopted and replayed.
   struct FailoverDelta {
+    int64_t files_adopted = 0;    // metadata entries taken from the failed home
     int64_t entries = 0;          // open registrations + dirty blocks installed
     int64_t preserved_bytes = 0;  // dirty bytes that survived via the shadow
   };
 
-  // Fail-over promotion, step 1: adopt the failed home's disk image — file
-  // metadata for every file selected by `mine` moves from `failed` (in
-  // ascending id order, deterministically) to this server. Returns the
-  // number of files adopted. The failed server has already crashed, so its
-  // last-writer fields are clear.
-  int64_t TakeOverMetadata(Server& failed, const std::function<bool(FileId)>& mine);
-  // Fail-over promotion, step 2: replay the shadow delta for homes selected
-  // by `mine` into real state — opens enter the open-state table (write
-  // sharing recomputed, no callbacks fired: the primary already enforced it
-  // on the clients), last writers land in metadata, dirty extents enter the
-  // block cache. Installed entries leave the shadow. Entries for files that
-  // no longer exist are discarded.
-  FailoverDelta InstallShadow(const std::function<bool(FileId)>& mine, SimTime now);
+  // Fail-over promotion of the homes whose files `mine` selects. First this
+  // server adopts the failed home's disk image: their metadata moves from
+  // `failed` (already crashed, so last writers are clear) in ascending id
+  // order. Then the shadow replays into real state: opens are installed
+  // without callbacks (InstallOpens; the primary already enforced sharing
+  // on the clients), last writers land in metadata, and dirty extents enter
+  // the block cache. Installed entries leave the shadow; entries for files
+  // that no longer exist are discarded.
+  FailoverDelta TakeOver(Server& failed, const std::function<bool(FileId)>& mine, SimTime now);
   // Rebuilds this standby's shadow for homes selected by `mine` from the
   // live primary's current volatile state (rejoin after an outage, or
   // re-arming a deferred shadow after a degraded crash).
@@ -225,41 +236,35 @@ class Server {
   int shadow_file_count() const { return static_cast<int>(shadow_.size()); }
 
   // --- Live rebalancing: charged home migration (DESIGN.md §11) --------------
-  // A migration moves one file's whole server-side state to a new home. The
-  // coordinator (Cluster::ExecuteMigration) flushes the file's dirty
-  // server-cache blocks to the source's own disk FIRST, so the image that
-  // moves is never volatile-dirty: a crash on either end mid-move cannot
-  // lose bytes that had reached the source.
+  // A migration moves one file's whole server-side state to a new home
+  // (Cluster::Migrate). ExportFile writes the file's dirty server-cache
+  // blocks to the source's own disk FIRST, so the image that moves is never
+  // volatile-dirty: a crash on either end mid-move cannot lose bytes that
+  // had reached the source.
 
   // The serialized image of one migrating file: durable metadata plus the
   // volatile open registrations and the consistency cacheable bit. Unlike
-  // TakeOverMetadata (crashed source, last writers already cleared), a live
+  // a fail-over (crashed source, last writers already cleared), a live
   // migration preserves last_writer and the enforced sharing state.
-  struct MigratedOpen {
-    ClientId client = 0;
-    int readers = 0;
-    int writers = 0;
-  };
   struct MigratedFile {
     bool valid = false;  // false: the source does not know the file
     FileMeta meta;
-    std::vector<MigratedOpen> opens;  // sorted by client id
+    std::vector<OpenCount> opens;  // sorted by client id
     bool cacheable = true;
+    int64_t flushed_bytes = 0;  // dirty bytes the export made durable on the source
   };
 
-  // Pre-transfer flush: writes the file's dirty server-cache blocks to this
-  // server's disk (the shadow flush hook fires per block, so a standby drops
-  // the now-durable extents). Returns the dirty bytes made durable.
-  int64_t FlushFileDirty(FileId file, SimTime now);
-  // Extracts the file's state and removes it from this server: metadata
-  // leaves the table, opens leave the open-state machinery, and the (clean,
-  // post-flush) cached blocks are dropped so a stale copy can never be
-  // served if the home later migrates back.
+  // Flushes the file's dirty server-cache blocks to this server's disk (the
+  // shadow flush hook fires per block, so a standby drops the now-durable
+  // extents), then extracts the file's state and removes it from this
+  // server: metadata leaves the table, opens leave the open-state
+  // machinery, and the (clean) cached blocks are dropped so a stale copy
+  // can never be served if the home later migrates back. The flush happens
+  // even when the file is unknown here (`valid` false).
   MigratedFile ExportFile(FileId file, SimTime now);
   // Installs an exported image as this server's own. Opens re-enter the
-  // open-state table with write sharing recomputed but no callbacks fired —
-  // the old home already enforced sharing on the clients, and the cacheable
-  // bit travels with the image.
+  // open-state table through InstallOpens with the old home's cacheable
+  // bit: it already enforced sharing on the clients.
   void ImportFile(FileId file, const MigratedFile& image);
   // Freezes new opens/reopens of `file` until `until` (the migration's
   // commit window): MigrationStall returns the remaining wait. Zero-cost
@@ -331,65 +336,33 @@ class Server {
   int64_t HomedBytes() const;
   ConsistencyPolicy policy() const { return policy_; }
   int open_state_count() const { return static_cast<int>(open_states_.size()); }
-  // Test hook: recomputes every open state's write-sharing bit from its
-  // opens table and compares with the cached bit (which is invalidated on
-  // open/close/crash/reopen). True when all cached bits are consistent.
-  bool OpenStateSharingConsistent() const;
 
  private:
-  // One client's open handles on one file. Kept in a flat vector sorted by
-  // client id: a file is rarely open on more than a couple of clients, so a
-  // sorted vector beats a std::map node per client, and ascending order
-  // preserves the deterministic callback order the old map gave the
-  // consistency engine (DisableCaching/EnableCaching/RecallToken fire in
-  // client-id order).
-  struct OpenEntry {
-    ClientId client = 0;
-    int readers = 0;
-    int writers = 0;
-  };
-
   struct OpenState {
-    std::vector<OpenEntry> opens;  // sorted by OpenEntry::client
+    std::vector<OpenCount> opens;  // sorted by client id
     bool cacheable = true;
-    // Cached result of ComputeWriteShared(opens); kept current by
-    // UpdateWriteShared at every opens mutation so the hot consistency
-    // checks need not rescan the table.
-    bool write_shared = false;
   };
 
-  // Find-or-insert keeping `opens` sorted by client id.
-  static OpenEntry& OpenFor(OpenState& state, ClientId client);
-
-  // One file's shadow (standby role): mirrored opens (sorted by client id,
-  // like OpenState::opens), the mirrored last writer, and the primary-cache
-  // dirty extents by block index. `dirty` is an ordered map, not a sorted
-  // vector: the primary flushes a file's blocks in ascending order, so
-  // ShadowBlockClean always drops the lowest extent, and erasing a vector's
-  // front would shift the rest (files reach 3072 blocks). Ascending
-  // iteration keeps the fail-over replay deterministic.
-  struct ShadowOpenEntry {
-    ClientId client = 0;
-    int readers = 0;
-    int writers = 0;
-  };
+  // One file's shadow (standby role): mirrored opens, the mirrored last
+  // writer, and the primary-cache dirty extents by block index. `dirty` is
+  // an ordered map, not a sorted vector: the primary flushes a file's blocks
+  // in ascending order, so ShadowBlockClean always drops the lowest extent,
+  // and erasing a vector's front would shift the rest (files reach 3072
+  // blocks). Ascending iteration keeps the fail-over replay deterministic.
   struct ShadowFile {
-    std::vector<ShadowOpenEntry> opens;       // sorted by client
+    std::vector<OpenCount> opens;  // sorted by client id
     std::optional<ClientId> last_writer;
-    std::map<int64_t, int64_t> dirty;         // block -> extent
+    std::map<int64_t, int64_t> dirty;  // block -> extent
     bool empty() const { return opens.empty() && !last_writer.has_value() && dirty.empty(); }
   };
 
   FileMeta& EnsureFile(FileId file);
-  // True if `state` is in concurrent write-sharing (open on more than one
-  // client with at least one writer). Reads the cached bit.
-  static bool IsWriteShared(const OpenState& state) { return state.write_shared; }
-  // Recomputes write-sharing from the opens table (the cached bit's source
-  // of truth).
-  static bool ComputeWriteShared(const OpenState& state);
-  static void UpdateWriteShared(OpenState& state) {
-    state.write_shared = ComputeWriteShared(state);
-  }
+  // Merges `opens` into the open-state table on a new home, without
+  // callbacks. A migration passes the old home's cacheable bit; a fail-over
+  // passes none and mirrors what the failed primary had enforced: cacheable
+  // unless write-shared, and always under kToken.
+  void InstallOpens(FileId file, const std::vector<OpenCount>& opens,
+                    std::optional<bool> cacheable);
   // Applies the policy-specific conflict handling after `client` registered
   // an open (or recovery reopen) of `file`: cache disabling or token
   // recalls. `count` distinguishes real opens (Table 10 counters) from
@@ -400,14 +373,26 @@ class Server {
   // If a client other than `caller` may hold dirty data for `file`, tell it
   // to discard (the contents were destroyed).
   void DiscardRemoteDirtyData(FileId file, FileMeta& meta, ClientId caller, SimTime now);
+  // Re-enables caching after `state`'s opens shrank (close or client
+  // crash), if the policy allows it: kSpriteModified once write sharing
+  // ends, otherwise only when every client has closed.
+  void MaybeReenableCaching(FileId file, OpenState& state, SimTime now);
   // Server cache access backing a transfer of `bytes` at `block` of `file`;
   // returns disk time incurred (0 on a server-cache hit).
   SimDuration TouchServerCache(FileId file, int64_t block, bool write, int64_t bytes,
                                SimTime now);
 
-  // Routes one disk write/read through whichever layout is configured.
-  SimDuration DiskWrite(BlockKey key, int64_t bytes);
+  // Routes one disk read through whichever layout is configured.
   SimDuration DiskRead(BlockKey key, int64_t bytes);
+  // The one disk-write path: every dirty block leaving the server cache
+  // (cleaner, migration flush, replacement) is written through the
+  // configured layout here, and the shadow flush hook tells the standby the
+  // extent is durable. Returns the disk time.
+  SimDuration FlushToDisk(BlockKey key, int64_t bytes);
+  // FlushToDisk as a BlockCache writeback.
+  BlockCache::WritebackFn ToDisk() {
+    return [this](BlockKey key, int64_t bytes) { FlushToDisk(key, bytes); };
+  }
 
   ServerId id_;
   ConsistencyPolicy policy_;

@@ -49,7 +49,6 @@ TEST(RecoveryTest, ServerCrashLosesExactlyUnflushedServerBlocks) {
   EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kReopen).calls, 1);
   EXPECT_EQ(cluster.rpc_ledger().by_epoch.count(2), 1u) << "post-reboot traffic is epoch 2";
   EXPECT_EQ(cluster.server(0).open_state_count(), 0) << "reopened, then closed";
-  EXPECT_TRUE(cluster.server(0).OpenStateSharingConsistent());
 }
 
 // ---------------- Reopen storms drain before normal service ------------------
@@ -121,7 +120,6 @@ TEST(RecoveryTest, ConflictingWriterMakesReopenStale) {
   // A taken handle is gone for good; taking it again yields nothing (the
   // workload layer swaps in the fresh handle and never touches it again).
   EXPECT_FALSE(cluster.client(0).TakeStaleHandle(a.handle).has_value());
-  EXPECT_TRUE(cluster.server(0).OpenStateSharingConsistent());
 }
 
 // ---------------- Asymmetric partitions --------------------------------------
@@ -348,7 +346,6 @@ TEST(RecoveryTest, ClientRebootDuringGraceWindowResurrectsNothing) {
   EXPECT_FALSE(cluster.client(0).TakeStaleHandle(open.handle).has_value());
   cluster.client(0).Close(fresh.handle, after + kSecond);
   EXPECT_EQ(cluster.server(0).open_state_count(), 0);
-  EXPECT_TRUE(cluster.server(0).OpenStateSharingConsistent());
 }
 
 }  // namespace

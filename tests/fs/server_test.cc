@@ -229,5 +229,27 @@ TEST_F(ServerTest, DirectoryReadCounted) {
   EXPECT_EQ(server_.counters().dir_read_bytes, 2048);
 }
 
+// A full server cache writes each dirty replacement victim to disk and fires
+// the shadow flush hook, so the standby drops the now-durable extent; only
+// the blocks still resident are at risk in a crash.
+TEST(ServerCacheTest, DirtyReplacementReachesDiskAndTheShadowHook) {
+  ServerConfig config;
+  config.memory_bytes = 16 * kBlockSize;
+  Server server(0, config, DiskConfig{}, ConsistencyPolicy::kSprite);
+  std::vector<int64_t> flushed;
+  server.SetShadowFlushHook([&flushed](FileId file, int64_t block) {
+    EXPECT_EQ(file, 7u);
+    flushed.push_back(block);
+  });
+  for (int64_t block = 0; block < 64; ++block) {
+    server.Writeback(7, block, kBlockSize, /*paging=*/false, block);
+  }
+  EXPECT_EQ(server.disk().writes(), 48);
+  ASSERT_EQ(flushed.size(), 48u);
+  EXPECT_EQ(flushed.front(), 0) << "the least recently written block goes first";
+  EXPECT_EQ(flushed.back(), 47);
+  EXPECT_EQ(server.Crash(64), 16 * kBlockSize) << "only the 16 resident dirty blocks are lost";
+}
+
 }  // namespace
 }  // namespace sprite
