@@ -69,7 +69,7 @@ ShardResult RunWith(const sprite_bench::Scale& base, ShardingPolicy policy, int 
   ShardResult result;
   std::vector<int64_t> routed;
   for (int s = 0; s < servers; ++s) {
-    routed.push_back(cluster.placement().routed(static_cast<ServerId>(s)));
+    routed.push_back(cluster.placement_ledger().routed(static_cast<ServerId>(s)));
   }
   result.routed = ComputeSkew(routed);
 

@@ -15,26 +15,17 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
                : nullptr),
       // MakeSharder rejects num_servers <= 0, so placement can never fall
       // back on unsigned modulo-by-zero wraparound.
-      sharder_(MakeSharder(config.sharding, config.num_servers)),
-      placement_(config.num_servers),
+      placement_(config.sharding, config.num_servers, config.replication.enabled),
+      ledger_(config.num_servers),
       transport_(std::make_unique<RpcTransport>(config.network, config.rpc)) {
   if (config.num_clients <= 0 || config.num_servers <= 0) {
     throw std::invalid_argument("Cluster: need at least one client and one server");
   }
-  if (config.replication.enabled) {
-    // Throws on unreplicable configs (one server, self-backup offset).
-    replica_ = std::make_unique<ReplicaMap>(config.replication, config.num_servers);
-    // Before AttachObservability: the shadow-kind latency recorders exist
-    // only in replication-on runs (off-mode metric output stays identical).
-    transport_->SetReplicationEnabled(true);
-  }
-  if (config.rebalance.enabled) {
-    // Same contract as replication: kMigrate* latency recorders register
-    // only when the cluster can actually issue migrations.
-    transport_->SetRebalanceEnabled(true);
-  }
-  down_until_.assign(static_cast<size_t>(config.num_servers), 0);
-  retired_servers_.assign(static_cast<size_t>(config.num_servers), false);
+  // Before AttachObservability: the shadow- and migrate-kind latency
+  // recorders exist only in runs that can issue those RPCs (off-mode metric
+  // output stays identical).
+  transport_->SetReplicationEnabled(config.replication.enabled);
+  transport_->SetRebalanceEnabled(config.rebalance.enabled);
   // Before AttachObservability: RegisterServer validates ids against this,
   // and the contended network's per-link recorders need the server count.
   transport_->SetExpectedServers(config.num_servers);
@@ -45,7 +36,7 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
     hotspot_->AttachObservability(obs_.get());
   }
   if (config.rebalance.enabled) {
-    rebalancer_ = std::make_unique<Rebalancer>(config.rebalance, sharder_.get(),
+    rebalancer_ = std::make_unique<Rebalancer>(config.rebalance, &placement_,
                                                static_cast<RebalanceHost*>(this));
   }
   stale_tracker_.AttachObservability(obs_.get());
@@ -65,7 +56,7 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
                [this] { return static_cast<int64_t>(queue_.dispatched_count()); });
     m.AddGauge("sim.queue.max_pending",
                [this] { return static_cast<int64_t>(queue_.max_pending_count()); });
-    if (replica_ != nullptr) {
+    if (placement_.replicated()) {
       // Fail-over instruments exist only in replication-on runs, after the
       // recovery counters above so off-mode registration order is unchanged.
       failover_rec_ = m.AddLatency("recovery.failover_us");
@@ -85,44 +76,7 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
   }
   servers_.reserve(static_cast<size_t>(config.num_servers));
   for (int s = 0; s < config.num_servers; ++s) {
-    servers_.push_back(std::make_unique<Server>(static_cast<ServerId>(s), config.server,
-                                                config.disk, config.consistency));
-    if (config.rpc.async) {
-      // Before AttachObservability, so the queue instruments register in
-      // the same deterministic order as the other per-server metrics.
-      servers_.back()->EnableServiceQueue(config.rpc);
-    }
-    servers_.back()->AttachObservability(obs_.get());
-    transport_->RegisterServer(servers_.back()->id(), servers_.back().get());
-    if (obs_ != nullptr && obs_->metrics_enabled()) {
-      // Placement-ledger gauge: distinct files the sharding policy homed on
-      // this server. Lives here (not in Server::AttachObservability) because
-      // the ledger belongs to the cluster; the storage-side counterpart
-      // "server.N.bytes_homed" registers with the server's own gauges.
-      const ServerId sid = servers_.back()->id();
-      obs_->metrics().AddGauge("server." + std::to_string(s) + ".files_placed",
-                               [this, sid] { return placement_.files_placed(sid); });
-      if (replica_ != nullptr) {
-        // Homes this server currently serves: 1 = plain primary, 0 = failed
-        // over, 2+ = absorbed a failed peer's homes.
-        obs_->metrics().AddGauge("server." + std::to_string(s) + ".role",
-                                 [this, sid] { return replica_->ActiveHomeCount(sid); });
-      }
-    }
-  }
-
-  if (replica_ != nullptr) {
-    // A primary's disk flush makes the block durable: the standby shadowing
-    // that home drops the extent so the shadow tracks only at-risk bytes.
-    for (auto& server : servers_) {
-      server->SetShadowFlushHook([this](FileId file, int64_t block) {
-        const ServerId home = RouteHome(file);
-        if (!replica_->shadowing(home)) {
-          return;
-        }
-        servers_[replica_->standby(home)]->ShadowBlockClean(file, block);
-      });
-    }
+    NewServer();
   }
 
   Client::TraceSink sink;
@@ -135,7 +89,11 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
     const ClientId id = static_cast<ClientId>(c);
     // Each client's router hands out stubs that route through the transport.
     Client::ServerRouter router = [this, id](FileId file) {
-      return ServerStub(id, ServerForFile(file), *transport_, StandbyForFile(file));
+      const ServerId home = NoteHome(file);
+      // Mirror RPCs go to the slot's standby while it shadows.
+      Server* standby =
+          placement_.Shadowing(home) ? servers_[placement_.Standby(home)].get() : nullptr;
+      return ServerStub(id, *servers_[placement_.Active(home)], *transport_, standby);
     };
     clients_.push_back(std::make_unique<Client>(id, config.client, std::move(router), sink,
                                                 &handle_counter_));
@@ -155,31 +113,70 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
   }
 }
 
-ServerId Cluster::RouteHome(FileId file) const {
-  return rebalancer_ != nullptr ? rebalancer_->Route(file) : sharder_->ServerFor(file);
+void Cluster::NewServer() {
+  const auto id = static_cast<ServerId>(servers_.size());
+  servers_.push_back(
+      std::make_unique<Server>(id, config_.server, config_.disk, config_.consistency));
+  Server& server = *servers_.back();
+  if (config_.rpc.async) {
+    // Before AttachObservability, so the queue instruments register in the
+    // same deterministic order as the other per-server metrics.
+    server.EnableServiceQueue(config_.rpc);
+  }
+  server.AttachObservability(obs_.get());
+  transport_->RegisterServer(id, &server);
+  ledger_.Grow(num_servers());
+  if (hotspot_ != nullptr) {
+    hotspot_->GrowTo(num_servers());
+  }
+  const bool metrics = obs_ != nullptr && obs_->metrics_enabled();
+  const std::string prefix = "server." + std::to_string(id);
+  if (metrics) {
+    // Placement-ledger gauge: distinct files the placement homed on this
+    // slot. Lives here (not in Server::AttachObservability) because the
+    // ledger belongs to the cluster; the storage-side counterpart
+    // "server.N.bytes_homed" registers with the server's own gauges.
+    obs_->metrics().AddGauge(prefix + ".files_placed",
+                             [this, id] { return ledger_.files_placed(id); });
+  }
+  if (placement_.replicated()) {
+    if (metrics) {
+      // Slots this server currently serves: 1 = plain primary, 0 = failed
+      // over, 2+ = absorbed a failed peer's slots.
+      obs_->metrics().AddGauge(prefix + ".role",
+                               [this, id] { return placement_.ActiveHomeCount(id); });
+    }
+    // A primary's disk flush makes the block durable: the standby shadowing
+    // that slot drops the extent so the shadow tracks only at-risk bytes.
+    server.SetShadowFlushHook([this](FileId file, int64_t block) {
+      const ServerId home = placement_.Home(file);
+      if (placement_.Shadowing(home)) {
+        servers_[placement_.Standby(home)]->ShadowBlockClean(file, block);
+      }
+    });
+  }
+  for (auto& client : clients_) {
+    server.RegisterClient(client->id(), transport_->WrapCallbacks(id, client->id(), client.get()));
+  }
+  if (daemons_started_) {
+    StartServerCleaner(server);
+  }
+}
+
+ServerId Cluster::NoteHome(FileId file) {
+  const ServerId home = placement_.Home(file);
+  // The ledger records the slot the placement chose; which server serves
+  // the slot is the placement map's role half.
+  ledger_.Note(home, file);
+  return home;
 }
 
 std::function<bool(FileId)> Cluster::HomeFilter(ServerId home) const {
-  return [this, home](FileId file) { return RouteHome(file) == home; };
+  return [this, home](FileId file) { return placement_.Home(file) == home; };
 }
 
 Server& Cluster::ServerForFile(FileId file) {
-  const ServerId home = RouteHome(file);
-  // The ledger records the POLICY's placement decision; which physical
-  // replica serves the home is the replication layer's concern.
-  placement_.Note(home, file);
-  return *servers_[replica_ != nullptr ? replica_->active(home) : home];
-}
-
-Server* Cluster::StandbyForFile(FileId file) {
-  if (replica_ == nullptr) {
-    return nullptr;
-  }
-  const ServerId home = RouteHome(file);
-  if (!replica_->shadowing(home)) {
-    return nullptr;  // standby down or not yet resynced: shadowing paused
-  }
-  return servers_[replica_->standby(home)].get();
+  return *servers_[placement_.Active(NoteHome(file))];
 }
 
 void Cluster::StartDaemons(SimDuration sample_period) {
@@ -192,11 +189,8 @@ void Cluster::StartDaemons(SimDuration sample_period) {
     daemons_.push_back(std::make_unique<PeriodicTask>(
         queue_, first, period, [client](SimTime now) { client->CleanerTick(now); }));
   }
-  for (size_t s = 0; s < servers_.size(); ++s) {
-    const SimTime first = queue_.now() + period + static_cast<SimDuration>(s) * (period / 8 + 1);
-    Server* server = servers_[s].get();
-    daemons_.push_back(std::make_unique<PeriodicTask>(
-        queue_, first, period, [server](SimTime now) { server->CleanerTick(now); }));
+  for (auto& server : servers_) {
+    StartServerCleaner(*server);
   }
   daemons_.push_back(std::make_unique<PeriodicTask>(
       queue_, queue_.now() + sample_period, sample_period, [this](SimTime now) {
@@ -215,6 +209,15 @@ void Cluster::StartDaemons(SimDuration sample_period) {
         queue_, queue_.now() + interval, interval,
         [this](SimTime now) { CaptureMetricsWindow(now, /*final_partial=*/false); }));
   }
+}
+
+void Cluster::StartServerCleaner(Server& server) {
+  const SimDuration period = config_.client.cache.cleaner_period;
+  const SimTime first =
+      queue_.now() + period + static_cast<SimDuration>(server.id()) * (period / 8 + 1);
+  Server* server_ptr = &server;
+  daemons_.push_back(std::make_unique<PeriodicTask>(
+      queue_, first, period, [server_ptr](SimTime now) { server_ptr->CleanerTick(now); }));
 }
 
 void Cluster::CaptureMetricsWindow(SimTime now, bool final_partial) {
@@ -280,37 +283,20 @@ std::string Cluster::HotspotReport() const {
 
 // --- Live rebalancing (RebalanceHost + resize entry points) ------------------
 
-int Cluster::NumServers() const { return static_cast<int>(servers_.size()); }
-
-bool Cluster::IsLive(ServerId server) const {
-  return static_cast<size_t>(server) < servers_.size() &&
-         !retired_servers_[static_cast<size_t>(server)];
-}
-
-bool Cluster::IsDown(ServerId server, SimTime now) const {
-  const ServerId physical = replica_ != nullptr ? replica_->active(server) : server;
-  return static_cast<size_t>(physical) < down_until_.size() && now < down_until_[physical];
-}
-
 std::vector<std::pair<FileId, int64_t>> Cluster::HomedFiles(ServerId server) const {
-  const ServerId physical = replica_ != nullptr ? replica_->active(server) : server;
-  return servers_.at(physical)->HomedFiles();
+  return servers_.at(server)->HomedFiles();
 }
 
-int64_t Cluster::HomedBytes(ServerId server) const {
-  const ServerId physical = replica_ != nullptr ? replica_->active(server) : server;
-  return servers_.at(physical)->HomedBytes();
-}
+int64_t Cluster::HomedBytes(ServerId server) const { return servers_.at(server)->HomedBytes(); }
 
-MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to, SimTime now) {
+MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to_home, SimTime now) {
   MigrationOutcome out;
-  const ServerId src_id = replica_ != nullptr ? replica_->active(from) : from;
-  const ServerId dst_id = replica_ != nullptr ? replica_->active(to) : to;
-  if (src_id == dst_id) {
+  const ServerId to = placement_.Active(to_home);
+  if (from == to) {
     return out;
   }
-  Server& src = *servers_.at(src_id);
-  Server& dst = *servers_.at(dst_id);
+  Server& src = *servers_.at(from);
+  Server& dst = *servers_.at(to);
   // Crash safety first: the export writes the file's dirty server-cache
   // extents to the source's own disk before anything moves, so a crash at
   // any point of the protocol can lose at most what a crash without
@@ -328,32 +314,30 @@ MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to, SimTi
   const int64_t state_bytes =
       kControlRpcBytes * (1 + static_cast<int64_t>(image.opens.size()));
   SimDuration latency =
-      transport_->Call(RpcKind::kMigrateState, coordinator, src_id, state_bytes, now);
+      transport_->Call(RpcKind::kMigrateState, coordinator, from, state_bytes, now);
   if (flushed > 0) {
-    latency += transport_->Call(RpcKind::kMigrateDirty, coordinator, src_id, flushed, now);
+    latency += transport_->Call(RpcKind::kMigrateDirty, coordinator, from, flushed, now);
   }
   const int64_t commit_bytes = std::max<int64_t>(image.meta.size, kControlRpcBytes);
-  latency += transport_->Call(RpcKind::kMigrateCommit, coordinator, dst_id, commit_bytes, now);
+  latency += transport_->Call(RpcKind::kMigrateCommit, coordinator, to, commit_bytes, now);
   dst.ImportFile(file, image);
   // New opens of the moving file stall until the transfer's charged latency
   // has elapsed (the freeze window); in-flight handles stay valid because
   // clients route every operation through ServerForFile.
   dst.FreezeFileUntil(file, now + latency + config_.rebalance.freeze_overhead);
-  if (replica_ != nullptr) {
-    // The backup follows the home: the old slot's standby forgets the file,
-    // the new slot's standby shadows it from its new primary.
-    if (replica_->shadowing(from)) {
-      servers_[replica_->standby(from)]->DropShadowFile(file);
-    }
-    if (replica_->shadowing(to)) {
-      servers_[replica_->standby(to)]->ResyncShadowFrom(dst,
-                                                        [file](FileId f) { return f == file; });
-    }
+  // The backup follows the home: no server keeps a shadow of the file, and
+  // the new slot's standby shadows it from its new primary.
+  for (auto& server : servers_) {
+    server->DropShadowFile(file);
+  }
+  if (placement_.Shadowing(to_home)) {
+    servers_[placement_.Standby(to_home)]->ResyncShadowFrom(
+        dst, [file](FileId f) { return f == file; });
   }
   if (obs_ != nullptr && obs_->tracing_enabled()) {
-    obs_->tracer().Emit("migrate", "rebalance", ServerTrack(src_id), now, latency,
+    obs_->tracer().Emit("migrate", "rebalance", ServerTrack(from), now, latency,
                         {{"file", static_cast<int64_t>(file)},
-                         {"to", static_cast<int64_t>(dst_id)},
+                         {"to", static_cast<int64_t>(to)},
                          {"bytes", image.meta.size},
                          {"dirty_flushed", flushed}});
   }
@@ -365,12 +349,12 @@ MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to, SimTi
 
 std::vector<std::pair<FileId, ServerId>> Cluster::HomeCensus() const {
   std::vector<std::pair<FileId, ServerId>> census;
-  for (size_t s = 0; s < servers_.size(); ++s) {
-    if (retired_servers_[s]) {
+  for (const auto& server : servers_) {
+    if (placement_.IsRetired(server->id())) {
       continue;
     }
-    for (const FileId file : servers_[s]->AllFileIds()) {
-      census.emplace_back(file, static_cast<ServerId>(s));
+    for (const FileId file : server->AllFileIds()) {
+      census.emplace_back(file, server->id());
     }
   }
   std::sort(census.begin(), census.end());
@@ -381,51 +365,13 @@ ServerId Cluster::AddServer() {
   if (rebalancer_ == nullptr) {
     throw std::logic_error("Cluster::AddServer requires RebalanceConfig::enabled");
   }
-  if (replica_ != nullptr) {
-    throw std::logic_error(
-        "Cluster::AddServer: live resize is unsupported with replication "
-        "(the ReplicaMap's home->backup ring is fixed at construction)");
-  }
-  const SimTime now = queue_.now();
-  const ServerId id = static_cast<ServerId>(servers_.size());
-  // Census before the topology event: these are the (file, old_home) pairs
+  // Census before the membership edit: these are the (file, server) pairs
   // the bounded steal is computed against.
   const std::vector<std::pair<FileId, ServerId>> census = HomeCensus();
-  servers_.push_back(std::make_unique<Server>(id, config_.server, config_.disk,
-                                              config_.consistency));
-  Server& added = *servers_.back();
-  if (config_.rpc.async) {
-    added.EnableServiceQueue(config_.rpc);
-  }
-  added.AttachObservability(obs_.get());
-  transport_->SetExpectedServers(static_cast<int>(servers_.size()));
-  transport_->RegisterServer(id, &added);
-  retired_servers_.push_back(false);
-  down_until_.push_back(0);
-  placement_.Grow(static_cast<int>(servers_.size()));
-  if (hotspot_ != nullptr) {
-    hotspot_->GrowTo(static_cast<int>(servers_.size()));
-  }
-  if (obs_ != nullptr && obs_->metrics_enabled()) {
-    obs_->metrics().AddGauge("server." + std::to_string(id) + ".files_placed",
-                             [this, id] { return placement_.files_placed(id); });
-  }
-  for (auto& client : clients_) {
-    added.RegisterClient(client->id(),
-                         transport_->WrapCallbacks(id, client->id(), client.get()));
-  }
-  if (daemons_started_) {
-    const SimDuration period = config_.client.cache.cleaner_period;
-    Server* server_ptr = &added;
-    daemons_.push_back(std::make_unique<PeriodicTask>(
-        queue_, now + period + static_cast<SimDuration>(id) * (period / 8 + 1), period,
-        [server_ptr](SimTime t) { server_ptr->CleanerTick(t); }));
-  }
-  const auto moves = rebalancer_->OnServerAdded(id, census, now);
-  if (obs_ != nullptr && obs_->tracing_enabled()) {
-    obs_->tracer().Emit("resize.add", "rebalance", ServerTrack(id), now, 0,
-                        {{"moves", static_cast<int64_t>(moves.size())}});
-  }
+  transport_->SetExpectedServers(num_servers() + 1);
+  NewServer();
+  const ServerId id = placement_.AddServer();
+  SettleMembershipEdit("resize.add", id, census);
   return id;
 }
 
@@ -433,37 +379,39 @@ void Cluster::RetireServer(ServerId server) {
   if (rebalancer_ == nullptr) {
     throw std::logic_error("Cluster::RetireServer requires RebalanceConfig::enabled");
   }
-  if (replica_ != nullptr) {
-    throw std::logic_error(
-        "Cluster::RetireServer: live resize is unsupported with replication "
-        "(the ReplicaMap's home->backup ring is fixed at construction)");
+  const std::vector<std::pair<FileId, ServerId>> census = HomeCensus();
+  placement_.RetireServer(server);  // validates the server and the live set
+  SettleMembershipEdit("resize.retire", server, census);
+}
+
+void Cluster::SettleMembershipEdit(const char* span, ServerId server,
+                                   const std::vector<std::pair<FileId, ServerId>>& census) {
+  const SimTime now = queue_.now();
+  const auto moves = rebalancer_->Resettle(census, now);
+  // The edit re-picked every standby and paused every shadow. Rebuild them
+  // all: a retire can move a file into another slot on the same server, so
+  // a slot whose standby did not change can still lack the file's shadow.
+  for (auto& s : servers_) {
+    s->DropShadows();
   }
-  if (static_cast<size_t>(server) >= servers_.size() ||
-      retired_servers_[static_cast<size_t>(server)]) {
-    throw std::logic_error("Cluster::RetireServer: unknown or already-retired server");
-  }
-  int live = 0;
-  for (size_t s = 0; s < servers_.size(); ++s) {
-    if (!retired_servers_[s] && static_cast<ServerId>(s) != server) {
-      ++live;
+  for (ServerId home = 0; home < static_cast<ServerId>(servers_.size()); ++home) {
+    const ServerId active = placement_.Active(home);
+    const ServerId standby = placement_.Standby(home);
+    if (!placement_.IsRetired(home) && standby != active && !placement_.IsDown(active, now) &&
+        !placement_.IsDown(standby, now)) {
+      ResyncShadow(home);
     }
   }
-  if (live == 0) {
-    throw std::logic_error("Cluster::RetireServer: would empty the live set");
-  }
-  const SimTime now = queue_.now();
-  std::vector<std::pair<FileId, ServerId>> census;
-  for (const FileId file : servers_[server]->AllFileIds()) {
-    census.emplace_back(file, server);
-  }
-  // Mark before the event so the retiree is excluded from the remap targets
-  // and from destination selection.
-  retired_servers_[static_cast<size_t>(server)] = true;
-  const auto moves = rebalancer_->OnServerRetired(server, census, now);
   if (obs_ != nullptr && obs_->tracing_enabled()) {
-    obs_->tracer().Emit("resize.retire", "rebalance", ServerTrack(server), now, 0,
+    obs_->tracer().Emit(span, "rebalance", ServerTrack(server), now, 0,
                         {{"moves", static_cast<int64_t>(moves.size())}});
   }
+}
+
+void Cluster::ResyncShadow(ServerId home) {
+  servers_[placement_.Standby(home)]->ResyncShadowFrom(*servers_[placement_.Active(home)],
+                                                       HomeFilter(home));
+  placement_.SetShadowing(home, true);
 }
 
 int Cluster::MigrateOffServer(ServerId server, SimTime now) {
@@ -545,10 +493,10 @@ TrafficCounters Cluster::AggregateTrafficCounters() const {
 int64_t Cluster::CrashServer(ServerId server, SimDuration down_for) {
   const SimTime now = queue_.now();
   Server& s = *servers_.at(server);
-  // Overlapping crashes extend the outage (a stale rejoin event checks
-  // down_until_ and yields to the later one). The rebalancer consults it too
-  // (IsDown), so migrations never target or pull from a server mid-outage.
-  down_until_[server] = std::max(down_until_[server], now + down_for);
+  // Overlapping crashes extend the outage (a stale rejoin event checks it
+  // and yields to the later one). The rebalancer consults it too, so
+  // migrations never target or pull from a server mid-outage.
+  placement_.ExtendOutage(server, now + down_for);
   const int64_t lost = s.Crash(now);
   if (server_crash_counter_ != nullptr) {
     server_crash_counter_->Add();
@@ -559,49 +507,47 @@ int64_t Cluster::CrashServer(ServerId server, SimDuration down_for) {
     obs_->tracer().Emit("server.down", "recovery", ServerTrack(server), now, down_for,
                         {{"epoch", epoch}, {"dirty_lost", lost}});
   }
-  // Without replication no home has a shadow: every home the server serves
-  // is degraded.
-  bool degraded = replica_ == nullptr;
-  if (replica_ != nullptr) {
-    for (ServerId home : replica_->HomesActiveOn(server)) {
-      if (!replica_->shadowing(home)) {
-        // No live shadow (the standby is down too, or has not resynced
-        // after its own crash): this home rides out the classic
-        // reopen-storm recovery below.
-        degraded = true;
-        continue;
-      }
-      // Fail over: the standby becomes the home's active replica. It adopts
-      // the home's disk image, replays the shadow delta into real state,
-      // and is unavailable while the failure detector fires and the replay
-      // runs — that window is the fail-over availability gap.
-      const ServerId backup = replica_->standby(home);
-      replica_->Promote(home);
-      const Server::FailoverDelta delta = servers_[backup]->TakeOver(s, HomeFilter(home), now);
-      const SimDuration failover_us = config_.replication.detection_delay +
-                                      delta.entries * config_.replication.replay_per_entry;
-      transport_->SetServerUnavailable(backup, now, now + failover_us);
-      ++failovers_;
-      preserved_bytes_ += delta.preserved_bytes;
-      total_failover_us_ += failover_us;
-      if (failover_rec_ != nullptr) {
-        failover_rec_->Record(failover_us);
-        failover_counter_->Add();
-        preserved_counter_->Add(delta.preserved_bytes);
-      }
-      if (tracing) {
-        obs_->tracer().Emit("failover", "recovery", ServerTrack(backup), now, failover_us,
-                            {{"home", static_cast<int64_t>(home)},
-                             {"entries", delta.entries},
-                             {"files_adopted", delta.files_adopted},
-                             {"preserved_bytes", delta.preserved_bytes}});
-      }
+  bool degraded = false;
+  for (ServerId home : placement_.HomesActiveOn(server)) {
+    if (!placement_.Shadowing(home)) {
+      // No live shadow (replication off, the standby is down too, or it has
+      // not resynced after its own crash): this home rides out the classic
+      // reopen-storm recovery below.
+      degraded = true;
+      continue;
     }
-    // Shadows this server was providing die with its memory; the homes they
-    // covered fail over no more until it rejoins and resyncs.
-    for (ServerId home : replica_->HomesStandbyOn(server)) {
-      replica_->SetShadowing(home, false);
+    // Fail over: the standby becomes the home's active replica. It adopts
+    // the home's disk image, replays the shadow delta into real state,
+    // and is unavailable while the failure detector fires and the replay
+    // runs — that window is the fail-over availability gap.
+    const ServerId backup = placement_.Standby(home);
+    placement_.Promote(home);
+    const Server::FailoverDelta delta = servers_[backup]->TakeOver(s, HomeFilter(home), now);
+    const SimDuration failover_us = config_.replication.detection_delay +
+                                    delta.entries * config_.replication.replay_per_entry;
+    transport_->SetServerUnavailable(backup, now, now + failover_us);
+    ++failovers_;
+    preserved_bytes_ += delta.preserved_bytes;
+    total_failover_us_ += failover_us;
+    if (failover_rec_ != nullptr) {
+      failover_rec_->Record(failover_us);
+      failover_counter_->Add();
+      preserved_counter_->Add(delta.preserved_bytes);
     }
+    if (tracing) {
+      obs_->tracer().Emit("failover", "recovery", ServerTrack(backup), now, failover_us,
+                          {{"home", static_cast<int64_t>(home)},
+                           {"entries", delta.entries},
+                           {"files_adopted", delta.files_adopted},
+                           {"preserved_bytes", delta.preserved_bytes}});
+    }
+  }
+  // Shadows this server was providing die with its memory; the homes they
+  // covered fail over no more until it rejoins and resyncs.
+  for (ServerId home : placement_.HomesStandbyOn(server)) {
+    placement_.SetShadowing(home, false);
+  }
+  if (placement_.replicated()) {
     if (degraded) {
       ++degraded_crashes_;
       if (degraded_counter_ != nullptr) {
@@ -629,42 +575,34 @@ int64_t Cluster::CrashServer(ServerId server, SimDuration down_for) {
 
 void Cluster::RejoinServer(ServerId server) {
   const SimTime now = queue_.now();
-  if (replica_ == nullptr || now < down_until_[server]) {
+  if (placement_.IsDown(server, now)) {
     return;  // a later overlapping crash extended the outage; its event wins
   }
   const bool tracing = obs_ != nullptr && obs_->tracing_enabled();
-  const auto resynced = [&](ServerId standby, ServerId home) {
-    replica_->SetShadowing(home, true);
+  const auto resync = [&](ServerId home) {
+    ResyncShadow(home);
     ++resyncs_;
     if (resync_counter_ != nullptr) {
       resync_counter_->Add();
     }
     if (tracing) {
-      obs_->tracer().Emit("replication.resync", "recovery", ServerTrack(standby), now, 0,
+      obs_->tracer().Emit("replication.resync", "recovery",
+                          ServerTrack(placement_.Standby(home)), now, 0,
                           {{"home", static_cast<int64_t>(home)}});
     }
   };
   // Re-arm the shadows this server provides, from each home's live active.
-  for (ServerId home : replica_->HomesStandbyOn(server)) {
-    const ServerId active = replica_->active(home);
-    if (now < down_until_[active]) {
-      continue;  // correlated crash: the active is down too; re-arm when it rejoins
+  for (ServerId home : placement_.HomesStandbyOn(server)) {
+    if (!placement_.IsDown(placement_.Active(home), now)) {
+      resync(home);  // else a correlated crash: re-arm when the active rejoins
     }
-    servers_[server]->ResyncShadowFrom(*servers_[active], HomeFilter(home));
-    resynced(server, home);
   }
   // Heal deferred shadows for homes this server serves whose standby is
   // alive but was never resynced (the degraded-crash aftermath).
-  for (ServerId home : replica_->HomesActiveOn(server)) {
-    if (replica_->shadowing(home)) {
-      continue;
+  for (ServerId home : placement_.HomesActiveOn(server)) {
+    if (!placement_.Shadowing(home) && !placement_.IsDown(placement_.Standby(home), now)) {
+      resync(home);
     }
-    const ServerId standby = replica_->standby(home);
-    if (now < down_until_[standby]) {
-      continue;
-    }
-    servers_[standby]->ResyncShadowFrom(*servers_[server], HomeFilter(home));
-    resynced(standby, home);
   }
 }
 
@@ -700,7 +638,7 @@ void Cluster::ResetMeasurements() {
   }
   transport_->ResetLedger();
   stale_tracker_.ResetCounts();
-  placement_.Reset();
+  ledger_.Reset();
   trace_.clear();
   cache_size_samples_.clear();
   if (obs_ != nullptr) {
@@ -728,8 +666,8 @@ std::string Cluster::ShardReport() const {
   std::vector<int64_t> homed;
   for (size_t s = 0; s < servers_.size(); ++s) {
     const ServerId sid = static_cast<ServerId>(s);
-    files_placed.push_back(placement_.files_placed(sid));
-    routed.push_back(placement_.routed(sid));
+    files_placed.push_back(ledger_.files_placed(sid));
+    routed.push_back(ledger_.routed(sid));
     homed.push_back(servers_[s]->HomedBytes());
     const auto it = rpc_ledger().by_server.find(sid);
     const int64_t rpc_calls = it == rpc_ledger().by_server.end() ? 0 : it->second.calls;
@@ -756,7 +694,7 @@ std::string Cluster::ShardReport() const {
   };
   std::string out = "== Server sharding report ==\n";
   out += "policy: ";
-  out += ShardingPolicyName(sharder_->policy());
+  out += ShardingPolicyName(placement_.sharder().policy());
   out += "\n";
   out += table.Render();
   out += "skew: " + skew_cell("files", ComputeSkew(files_placed)) + " | " +

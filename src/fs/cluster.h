@@ -25,12 +25,11 @@
 #include "src/fs/client.h"
 #include "src/fs/config.h"
 #include "src/fs/net.h"
+#include "src/fs/placement.h"
 #include "src/fs/rebalance.h"
 #include "src/fs/recovery.h"
-#include "src/fs/replication.h"
 #include "src/fs/rpc.h"
 #include "src/fs/server.h"
-#include "src/fs/sharding.h"
 #include "src/obs/hotspot.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/record.h"
@@ -108,15 +107,21 @@ class Cluster : private RebalanceHost {
   // (service queue, observability, callbacks, cleaner daemon), then runs the
   // bounded-movement steal — only ~1/(live+1) of each existing server's
   // files migrate to the newcomer, through the charged migration protocol.
-  // Returns the new id. Throws std::logic_error when rebalancing is off or
-  // replication is on (the ReplicaMap's home->backup ring is fixed-size).
+  // Under replication the newcomer joins the standby ring after its ring
+  // predecessor, every standby is re-picked, and every live slot's shadow is
+  // rebuilt from its active. Returns the new id. Throws std::logic_error
+  // when rebalancing is off.
   ServerId AddServer();
   // Retires `server`: it stops being a routing target and a migration
-  // destination, and every file homed there is evacuated (charged
-  // migrations) into the surviving live set. The retired server object
-  // remains registered so in-flight references stay valid, but nothing
-  // routes to it afterward. Same preconditions as AddServer; also throws
-  // when it would empty the live set or the server is already retired.
+  // destination, every file homed there is evacuated (charged migrations)
+  // into the surviving live set, and any slot it had taken over in a
+  // fail-over goes back to the first live server at or after the slot.
+  // Standbys and shadows are re-picked and rebuilt as for AddServer. The
+  // retired server object remains registered so in-flight references stay
+  // valid, but nothing routes to it afterward. Same precondition as
+  // AddServer; also throws when the server is unknown or already retired,
+  // or when it would empty the live set (leave fewer than two live servers
+  // under replication).
   void RetireServer(ServerId server);
 
   // Operator-forced drain: runs one hot-spot migration burst off `server`
@@ -126,16 +131,17 @@ class Cluster : private RebalanceHost {
   // off. Also the deterministic trigger the migration tests use.
   int MigrateOffServer(ServerId server, SimTime now);
 
-  // The server that owns `file`, per the configured sharding policy
-  // (default: the historical modulo partition). Every routing decision is
-  // recorded in the placement ledger. Throws std::invalid_argument for ids
-  // with the sign bit set (a negative id squeezed through FileId's unsigned
-  // conversion) instead of silently sharding the wrapped value.
+  // The server that serves `file`: the active of the file's home slot in
+  // the placement map (default: the historical modulo partition, slot h on
+  // server h). Every routing decision is recorded in the placement ledger.
+  // Throws std::invalid_argument for ids with the sign bit set (a negative
+  // id squeezed through FileId's unsigned conversion) instead of silently
+  // sharding the wrapped value.
   Server& ServerForFile(FileId file);
 
-  // The placement policy and the routing record behind ServerForFile.
-  const Sharder& sharder() const { return *sharder_; }
-  const PlacementLedger& placement() const { return placement_; }
+  // The placement map and the routing record behind ServerForFile.
+  const Placement& placement() const { return placement_; }
+  const PlacementLedger& placement_ledger() const { return ledger_; }
 
   // Renders the per-server placement/load table plus skew summaries (the
   // `sprite_analyze --shard-report` section): distinct files placed, routed
@@ -170,14 +176,15 @@ class Cluster : private RebalanceHost {
   // window; clients detect the new epoch on their next RPC and replay their
   // opens. Returns the server-cache dirty bytes that never reached disk.
   //
-  // With replication enabled (ReplicationConfig) and a live shadow, the
-  // crash FAILS OVER instead: each home the server was serving is promoted
-  // onto its standby, which adopts the home's disk metadata, replays the
-  // shadow delta (open registrations, last writers, dirty extents), and is
-  // briefly unavailable for detection_delay + entries * replay_per_entry —
-  // no epoch bump, no reopen storm, and the shadowed dirty bytes survive.
-  // A crash with no live shadow (the standby is down too — a correlated
-  // failure) degrades to the classic reopen-storm recovery above. Either
+  // With replication enabled (ReplicationConfig), each home slot the server
+  // was serving whose standby holds a live shadow FAILS OVER instead: the
+  // placement map promotes the standby, which adopts the slot's disk
+  // metadata, replays the shadow delta (open registrations, last writers,
+  // dirty extents), and is briefly unavailable for detection_delay +
+  // entries * replay_per_entry — no epoch bump, no reopen storm, and the
+  // shadowed dirty bytes survive. A slot with no live shadow (the standby is
+  // down too — a correlated failure — or the shadow is not rebuilt yet)
+  // degrades the crash to the classic reopen-storm recovery above. Either
   // way the rejoining server resyncs and re-arms shadows when it returns.
   int64_t CrashServer(ServerId server, SimDuration down_for);
 
@@ -192,8 +199,6 @@ class Cluster : private RebalanceHost {
   StaleDataTracker& stale_tracker() { return stale_tracker_; }
   const StaleDataTracker& stale_tracker() const { return stale_tracker_; }
 
-  // Replication role map; null when replication is off.
-  const ReplicaMap* replica() const { return replica_.get(); }
   // Fail-over statistics, maintained whether or not metrics are enabled
   // (sprite_analyze renders them without --metrics).
   int64_t failovers() const { return failovers_; }
@@ -203,21 +208,18 @@ class Cluster : private RebalanceHost {
   SimDuration total_failover_us() const { return total_failover_us_; }
 
  private:
-  // The effective home SLOT for `file`: the rebalancer's routed home when
-  // rebalancing is on, the immutable sharding policy otherwise. Which
-  // physical server serves the slot is the replication layer's concern
-  // (replica_->active). Pure — no placement-ledger note.
-  ServerId RouteHome(FileId file) const;
+  // Routes `file` to its home slot and records the decision in the ledger.
+  ServerId NoteHome(FileId file);
   // Selects the files routed to home slot `home`: the set a fail-over takes
   // over and a resync shadows.
   std::function<bool(FileId)> HomeFilter(ServerId home) const;
+  // Creates the next server, fully wired: service queue, observability,
+  // gauges, shadow flush hook, client callbacks and (once the daemons run)
+  // its cleaner.
+  void NewServer();
+  void StartServerCleaner(Server& server);
 
-  // RebalanceHost: the Rebalancer's view of the cluster. Ids are home
-  // slots; under replication they map through replica_->active to the
-  // physical server currently serving the slot.
-  int NumServers() const override;
-  bool IsLive(ServerId server) const override;
-  bool IsDown(ServerId server, SimTime now) const override;
+  // RebalanceHost: the Rebalancer's view of the cluster.
   std::vector<std::pair<FileId, int64_t>> HomedFiles(ServerId server) const override;
   int64_t HomedBytes(ServerId server) const override;
   // Executes the charged three-RPC migration protocol for one file
@@ -228,28 +230,34 @@ class Cluster : private RebalanceHost {
   // source and kMigrateCommit to the destination as real transport calls
   // from the virtual migration coordinator (client id = num_clients), import
   // on the destination, and freeze new opens of the file there until the
-  // charged latency (+ freeze_overhead) has elapsed. Under replication the
-  // old home's standby drops its shadow of the file and the new home's
-  // standby resyncs it, so the backup follows the migrated home.
-  MigrationOutcome Migrate(FileId file, ServerId from, ServerId to, SimTime now) override;
+  // charged latency (+ freeze_overhead) has elapsed. Every server drops its
+  // shadow of the file and, when slot `to_home` is shadowing, its standby
+  // resyncs it, so the backup follows the migrated home.
+  MigrationOutcome Migrate(FileId file, ServerId from, ServerId to_home, SimTime now) override;
 
-  // The pre-resize (file, home) census over live servers, sorted by file id
-  // — the candidate set a topology event's moves are computed from.
+  // The pre-resize (file, server) census over live servers, sorted by file
+  // id — the candidate set a membership edit's moves are computed from.
   std::vector<std::pair<FileId, ServerId>> HomeCensus() const;
+  // Finishes a membership edit of the placement: migrates every census file
+  // whose serving server changed, then rebuilds every live slot's shadow
+  // from its active (each server's shadow is dropped first; a slot whose
+  // active or standby is down re-arms when that server rejoins).
+  void SettleMembershipEdit(const char* span, ServerId server,
+                            const std::vector<std::pair<FileId, ServerId>>& census);
 
-  // A file's standby stub target: the shadowing backup of the file's home,
-  // or null when replication is off / the shadow is not live.
-  Server* StandbyForFile(FileId file);
   // Outage-end hook (scheduled by CrashServer): the rebooted server resyncs
   // the shadows it provides and re-arms any deferred ones it is owed.
   void RejoinServer(ServerId server);
+  // Rebuilds slot `home`'s shadow on its standby from its active and
+  // re-arms the slot.
+  void ResyncShadow(ServerId home);
 
   ClusterConfig config_;
   EventQueue& queue_;
   std::unique_ptr<Observability> obs_;
   std::unique_ptr<HotspotDetector> hotspot_;
-  std::unique_ptr<Sharder> sharder_;
-  PlacementLedger placement_;
+  Placement placement_;
+  PlacementLedger ledger_;
   std::unique_ptr<RpcTransport> transport_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
@@ -257,13 +265,9 @@ class Cluster : private RebalanceHost {
   StaleDataTracker stale_tracker_;
   Counter* server_crash_counter_ = nullptr;
   Counter* server_crash_dirty_lost_ = nullptr;
-  // Replication (null / unused when ReplicationConfig::enabled is false).
-  std::unique_ptr<ReplicaMap> replica_;
   // Live rebalancing (null when RebalanceConfig::enabled is false).
   std::unique_ptr<Rebalancer> rebalancer_;
-  std::vector<bool> retired_servers_;  // [server] RetireServer happened
-  bool daemons_started_ = false;       // AddServer wires cleaners only if so
-  std::vector<SimTime> down_until_;  // [server] end of latest injected outage
+  bool daemons_started_ = false;  // NewServer wires cleaners only if so
   int64_t failovers_ = 0;
   int64_t degraded_crashes_ = 0;
   int64_t resyncs_ = 0;

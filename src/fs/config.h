@@ -186,18 +186,16 @@ struct RpcConfig {
 };
 
 // Primary/backup server replication (DESIGN.md §8). When enabled, every
-// home server shadows its volatile state — open registrations and
-// dirty-byte writebacks — to a deterministic backup (home + backup_offset,
-// modulo the server count) via kShadow* RPCs, and Cluster::CrashServer
-// *fails over* to the backup instead of scheduling the epoch handshake and
-// reopen storm: the backup installs the shadow delta and clients are
-// re-routed to it. Off by default; off-mode output is byte-identical to the
-// committed baselines.
+// home slot's active server shadows its volatile state — open registrations
+// and dirty-byte writebacks — to the slot's standby via kShadow* RPCs, and
+// Cluster::CrashServer *fails over* to the standby instead of scheduling the
+// epoch handshake and reopen storm: the standby installs the shadow delta
+// and clients are re-routed to it. The standby is the next live server
+// after the active in ring order ((h + 1) % num_servers until the
+// membership changes; src/fs/placement.h). Needs at least two servers. Off
+// by default; off-mode output is byte-identical to the committed baselines.
 struct ReplicationConfig {
   bool enabled = false;
-  // Backup for home h is (h + backup_offset) % num_servers. Must not be a
-  // multiple of num_servers (a server cannot back itself up).
-  int backup_offset = 1;
   // Fail-over latency model: a fixed failure-detection delay plus a replay
   // cost per shadow-delta entry (open registrations + dirty blocks
   // installed). The promoted backup is unavailable for the resulting

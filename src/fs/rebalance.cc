@@ -6,76 +6,25 @@
 
 namespace sprite {
 
-namespace {
-// Per-event salt for the cascade draws. Distinct per event index so a file's
-// draw at event i is independent of its draw at event j.
-uint64_t EventDraw(FileId file, size_t event_index) {
-  return SplitMix64(static_cast<uint64_t>(file) ^
-                    (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(event_index + 1)));
-}
-}  // namespace
+Rebalancer::Rebalancer(const RebalanceConfig& config, Placement* placement,
+                       RebalanceHost* host)
+    : config_(config), placement_(placement), host_(host) {}
 
-Rebalancer::Rebalancer(const RebalanceConfig& config, const Sharder* base, RebalanceHost* host)
-    : config_(config), base_(base), host_(host),
-      retired_(static_cast<size_t>(base->num_servers()), false) {}
-
-bool Rebalancer::IsRetired(ServerId server) const {
-  return static_cast<size_t>(server) < retired_.size() && retired_[static_cast<size_t>(server)];
-}
-
-std::vector<ServerId> Rebalancer::LiveSet() const {
-  std::vector<ServerId> live;
-  const ServerId n = static_cast<ServerId>(host_->NumServers());
-  live.reserve(static_cast<size_t>(n));
-  for (ServerId s = 0; s < n; ++s) {
-    if (!IsRetired(s) && host_->IsLive(s)) {
-      live.push_back(s);
-    }
-  }
-  return live;
-}
-
-ServerId Rebalancer::CascadedHome(FileId file) const {
-  ServerId home = base_->ServerFor(file);
-  for (size_t i = 0; i < events_.size(); ++i) {
-    const TopologyEvent& ev = events_[i];
-    const uint64_t draw = EventDraw(file, i);
-    if (ev.kind == TopologyEvent::Kind::kAdd) {
-      // Consistent-hash-style steal: the new server claims a deterministic
-      // 1/|live_after| slice of every file population; everything else stays
-      // put, which is the bounded-movement guarantee.
-      if (draw % ev.live_after.size() == 0) {
-        home = ev.server;
-      }
-    } else if (home == ev.server) {
-      // Only the retiree's files move; the live set is frozen at event time
-      // so later retirements cannot re-route files settled by this one.
-      home = ev.live_after[draw % ev.live_after.size()];
-    }
-  }
-  return home;
-}
-
-ServerId Rebalancer::Route(FileId file) const {
-  auto it = overrides_.find(file);
-  if (it != overrides_.end() && !IsRetired(it->second)) {
-    return it->second;
-  }
-  return CascadedHome(file);
-}
-
-ServerId Rebalancer::PickDestination(ServerId avoid, SimTime now) const {
+ServerId Rebalancer::PickDestination(ServerId hot_server, SimTime now) const {
+  // Skips every slot the hot server itself serves: after a fail-over one
+  // server can be active for two slots, and a move between them is no move.
   ServerId best = kNoServer;
   int64_t best_bytes = std::numeric_limits<int64_t>::max();
-  const ServerId n = static_cast<ServerId>(host_->NumServers());
-  for (ServerId s = 0; s < n; ++s) {
-    if (s == avoid || IsRetired(s) || !host_->IsLive(s) || host_->IsDown(s, now)) {
+  const auto n = static_cast<ServerId>(placement_->num_servers());
+  for (ServerId h = 0; h < n; ++h) {
+    const ServerId server = placement_->Active(h);
+    if (server == hot_server || placement_->IsRetired(h) || placement_->IsDown(server, now)) {
       continue;
     }
-    const int64_t bytes = host_->HomedBytes(s);
+    const int64_t bytes = host_->HomedBytes(server);
     if (bytes < best_bytes) {  // ties keep the lowest id
       best_bytes = bytes;
-      best = s;
+      best = h;
     }
   }
   return best;
@@ -106,12 +55,13 @@ int Rebalancer::OnWindow(const std::vector<HotspotEvent>& events, SimTime now) {
       continue;
     }
     const ServerId hot = ev.episode.server;
-    if (IsRetired(hot) || !host_->IsLive(hot) || host_->IsDown(hot, now)) {
+    const ServerId hot_server = placement_->Active(hot);
+    if (placement_->IsRetired(hot) || placement_->IsDown(hot_server, now)) {
       continue;
     }
     // Victims: the hot server's heaviest homed files, largest first (moving
     // bytes_homed share is what flips the detector's placement gate).
-    std::vector<std::pair<FileId, int64_t>> victims = host_->HomedFiles(hot);
+    std::vector<std::pair<FileId, int64_t>> victims = host_->HomedFiles(hot_server);
     std::sort(victims.begin(), victims.end(), [](const auto& a, const auto& b) {
       if (a.second != b.second) {
         return a.second > b.second;
@@ -136,15 +86,15 @@ int Rebalancer::OnWindow(const std::vector<HotspotEvent>& events, SimTime now) {
         ++skipped_budget_;
         continue;
       }
-      const ServerId dest = PickDestination(hot, now);
+      const ServerId dest = PickDestination(hot_server, now);
       if (dest == kNoServer) {
         break;
       }
-      const MigrationOutcome outcome = host_->Migrate(file, hot, dest, now);
+      const MigrationOutcome outcome = host_->Migrate(file, hot_server, dest, now);
       if (!outcome.ok) {
         continue;
       }
-      overrides_[file] = dest;
+      placement_->SetHome(file, dest);
       ++migrations_;
       moved_bytes_ += outcome.moved_bytes;
       episode_bytes += bytes;
@@ -159,61 +109,24 @@ int Rebalancer::OnWindow(const std::vector<HotspotEvent>& events, SimTime now) {
   return moved;
 }
 
-std::vector<Rebalancer::Move> Rebalancer::ExecuteResizeMoves(
-    const std::vector<std::pair<FileId, ServerId>>& candidates, SimTime now) {
+std::vector<Rebalancer::Move> Rebalancer::Resettle(
+    const std::vector<std::pair<FileId, ServerId>>& census, SimTime now) {
   std::vector<Move> moves;
-  for (const auto& [file, old_home] : candidates) {
-    const ServerId new_home = Route(file);
-    if (new_home == old_home) {
+  for (const auto& [file, from] : census) {
+    const ServerId home = placement_->Home(file);
+    const ServerId to = placement_->Active(home);
+    if (to == from) {
       continue;
     }
-    const MigrationOutcome outcome = host_->Migrate(file, old_home, new_home, now);
+    const MigrationOutcome outcome = host_->Migrate(file, from, home, now);
     if (!outcome.ok) {
       continue;
     }
     ++resize_moves_;
     resize_moved_bytes_ += outcome.moved_bytes;
-    moves.push_back(Move{file, old_home, new_home});
+    moves.push_back(Move{file, from, to});
   }
   return moves;
-}
-
-std::vector<Rebalancer::Move> Rebalancer::OnServerAdded(
-    ServerId added, const std::vector<std::pair<FileId, ServerId>>& candidates, SimTime now) {
-  if (static_cast<size_t>(added) >= retired_.size()) {
-    retired_.resize(static_cast<size_t>(added) + 1, false);
-  }
-  TopologyEvent ev;
-  ev.kind = TopologyEvent::Kind::kAdd;
-  ev.server = added;
-  ev.live_after = LiveSet();
-  events_.push_back(std::move(ev));
-  return ExecuteResizeMoves(candidates, now);
-}
-
-std::vector<Rebalancer::Move> Rebalancer::OnServerRetired(
-    ServerId retired, const std::vector<std::pair<FileId, ServerId>>& candidates, SimTime now) {
-  retired_[static_cast<size_t>(retired)] = true;
-  TopologyEvent ev;
-  ev.kind = TopologyEvent::Kind::kRetire;
-  ev.server = retired;
-  ev.live_after = LiveSet();
-  const size_t event_index = events_.size();
-  events_.push_back(std::move(ev));
-  // Rewrite overrides stranded on the retiree to the cascade's remap target
-  // (deterministic order: sorted file ids, not map order).
-  std::vector<FileId> stale;
-  for (const auto& [file, home] : overrides_) {
-    if (home == retired) {
-      stale.push_back(file);
-    }
-  }
-  std::sort(stale.begin(), stale.end());
-  const TopologyEvent& rec = events_.back();
-  for (const FileId file : stale) {
-    overrides_[file] = rec.live_after[EventDraw(file, event_index) % rec.live_after.size()];
-  }
-  return ExecuteResizeMoves(candidates, now);
 }
 
 std::string Rebalancer::Report() const {
@@ -225,7 +138,7 @@ std::string Rebalancer::Report() const {
                 static_cast<long long>(migrations_), static_cast<long long>(moved_bytes_),
                 static_cast<long long>(resize_moves_),
                 static_cast<long long>(resize_moved_bytes_),
-                static_cast<long long>(overrides_.size()));
+                static_cast<long long>(placement_->file_homes()));
   out += buf;
   if (config_.max_total_bytes > 0) {
     std::snprintf(buf, sizeof(buf), "budget: %lld / %lld bytes spent (%lld victims skipped)\n",

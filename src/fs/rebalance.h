@@ -6,41 +6,27 @@
 // the Rebalancer subscribes to the HotspotDetector's episode stream and,
 // when an episode opens on a server, migrates that server's heaviest homed
 // files to the lightest-loaded peer through a charged three-RPC protocol
-// (DESIGN.md §11). It also gives the cluster elastic resize: AddServer /
-// RetireServer trigger *bounded-movement* rebalancing — per topology event
-// only ~1/(n+1) of the id space moves (a consistent-hash-style steal on add,
-// a remap of just the retiree's files on retire) instead of the full
-// reshuffle a naive `file % n` recompute would cause.
+// (DESIGN.md §11). It also settles elastic resize: after AddServer /
+// RetireServer edit the Placement, it migrates every file whose serving
+// server changed — per membership event only ~1/(n+1) of the id space moves
+// (a consistent-hash-style steal on add, a remap of just the retiree's files
+// on retire) instead of the full reshuffle a naive `file % n` recompute
+// would cause.
 //
-// Routing model. The effective home of a file is resolved in three layers,
-// later layers winning:
-//
-//   1. base policy     — the immutable Sharder (modulo/hash/range/dir);
-//   2. topology events — the ordered AddServer/RetireServer history, applied
-//                        as a deterministic cascade over the base home;
-//   3. override table  — explicit per-file homes installed by hot-spot
-//                        migrations (and by retire-time rewrites of stale
-//                        overrides).
-//
-// Route() is a pure function of (base policy, event history, override
-// table), so two same-seed runs that make the same migrations route
-// identically, and recovery replay / reopen storms after a crash land on the
-// post-migration homes.
-//
-// The Rebalancer decides *what* to move; the Cluster (as RebalanceHost)
-// executes the charged protocol and owns the servers. This split keeps the
-// policy unit-testable with a fake host and no simulator.
+// The Rebalancer is policy only: it decides *what* to move and reads and
+// edits routing through the Placement (src/fs/placement.h); the Cluster (as
+// RebalanceHost) executes the charged protocol and owns the servers. This
+// split keeps the policy unit-testable with a fake host and no simulator.
 
 #ifndef SPRITE_DFS_SRC_FS_REBALANCE_H_
 #define SPRITE_DFS_SRC_FS_REBALANCE_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fs/config.h"
-#include "src/fs/sharding.h"
+#include "src/fs/placement.h"
 #include "src/fs/types.h"
 #include "src/obs/hotspot.h"
 
@@ -64,19 +50,14 @@ class RebalanceHost {
  public:
   virtual ~RebalanceHost() = default;
 
-  virtual int NumServers() const = 0;
-  // False once a server has been retired (it stops being a migration
-  // destination and its remaining files are evacuated).
-  virtual bool IsLive(ServerId server) const = 0;
-  // True while the server is crashed/recovering at `now`; migrations never
-  // target (or pull from) a down server.
-  virtual bool IsDown(ServerId server, SimTime now) const = 0;
-  // The files currently homed on `server` with their sizes, sorted by id.
+  // The files whose metadata `server` holds, with their sizes, sorted by id.
   virtual std::vector<std::pair<FileId, int64_t>> HomedFiles(ServerId server) const = 0;
   // Total bytes homed on `server` (destination selection key).
   virtual int64_t HomedBytes(ServerId server) const = 0;
-  // Executes the charged migration protocol for one file.
-  virtual MigrationOutcome Migrate(FileId file, ServerId from, ServerId to, SimTime now) = 0;
+  // Executes the charged migration protocol for one file, from `from` to
+  // the server now active for slot `to_home`.
+  virtual MigrationOutcome Migrate(FileId file, ServerId from, ServerId to_home,
+                                   SimTime now) = 0;
 };
 
 // One completed hot-spot-driven migration burst (one consumed kOpened
@@ -91,48 +72,32 @@ struct RebalanceAction {
 
 class Rebalancer {
  public:
-  Rebalancer(const RebalanceConfig& config, const Sharder* base, RebalanceHost* host);
+  Rebalancer(const RebalanceConfig& config, Placement* placement, RebalanceHost* host);
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
-
-  // --- Routing (layer 2 + 3 over the base policy) --------------------------
-
-  // The effective home for `file`. Pure and deterministic; never returns a
-  // retired server.
-  ServerId Route(FileId file) const;
-  bool has_override(FileId file) const { return overrides_.count(file) != 0; }
 
   // --- Hot-spot reaction ----------------------------------------------------
 
   // Feeds one drained batch of detector events (call once per metrics
   // window, after HotspotDetector::Observe). kOpened episodes trigger a
-  // migration burst off the hot server; kClosed episodes mark earlier bursts
-  // on that server as dissolved. Returns the number of files migrated.
+  // migration burst off the hot slot's active server; kClosed episodes mark
+  // earlier bursts on that slot as dissolved. Returns the number of files
+  // migrated.
   int OnWindow(const std::vector<HotspotEvent>& events, SimTime now);
 
   // --- Elastic resize -------------------------------------------------------
 
-  // Records the topology event for a freshly added server `added` (the host
-  // has already constructed and registered it), computes the bounded steal
-  // set — the files whose effective home just changed, ~1/(live+1) of the id
-  // space — and executes those migrations through the host. `candidates` is
-  // the pre-event (file, old_home) census of every live server, sorted by
-  // file id. Returns the executed moves.
+  // Call after a membership edit of the Placement. `census` is the pre-edit
+  // (file, server) census of every live server, sorted by file id; every
+  // file whose serving server changed migrates there through the host.
+  // Returns the executed moves.
   struct Move {
     FileId file = 0;
     ServerId from = 0;
     ServerId to = 0;
   };
-  std::vector<Move> OnServerAdded(ServerId added,
-                                  const std::vector<std::pair<FileId, ServerId>>& candidates,
-                                  SimTime now);
-
-  // Records retirement of `retired` and evacuates it: every file homed there
-  // is remapped into the surviving live set and migrated through the host.
-  // Overrides pointing at the retiree are rewritten to the remap target.
-  std::vector<Move> OnServerRetired(ServerId retired,
-                                    const std::vector<std::pair<FileId, ServerId>>& candidates,
-                                    SimTime now);
+  std::vector<Move> Resettle(const std::vector<std::pair<FileId, ServerId>>& census,
+                             SimTime now);
 
   // --- Accounting / report --------------------------------------------------
 
@@ -146,31 +111,12 @@ class Rebalancer {
   std::string Report() const;
 
  private:
-  // One recorded resize event. Applied to a base home as a cascade, in
-  // order: an add steals a deterministic 1/(live+1) slice of every prior
-  // home; a retire remaps the retiree's files over the live set frozen at
-  // event time.
-  struct TopologyEvent {
-    enum class Kind { kAdd, kRetire };
-    Kind kind = Kind::kAdd;
-    ServerId server = 0;               // the added / retired server
-    std::vector<ServerId> live_after;  // live set after the event, ascending
-  };
-
-  ServerId CascadedHome(FileId file) const;
-  ServerId PickDestination(ServerId avoid, SimTime now) const;
+  ServerId PickDestination(ServerId hot_server, SimTime now) const;
   int64_t BudgetRemaining() const;
-  bool IsRetired(ServerId server) const;
-  std::vector<ServerId> LiveSet() const;
-  std::vector<Move> ExecuteResizeMoves(const std::vector<std::pair<FileId, ServerId>>& candidates,
-                                       SimTime now);
 
   RebalanceConfig config_;
-  const Sharder* base_;
+  Placement* placement_;
   RebalanceHost* host_;
-  std::vector<TopologyEvent> events_;
-  std::unordered_map<FileId, ServerId> overrides_;
-  std::vector<bool> retired_;  // indexed by ServerId, grown on add
 
   int64_t migrations_ = 0;          // hot-spot migrations executed
   int64_t moved_bytes_ = 0;         // bytes moved by hot-spot migrations

@@ -275,6 +275,9 @@ class Server {
   // this server no longer backs it up (the new standby resyncs from the
   // destination).
   void DropShadowFile(FileId file);
+  // Drops every shadow entry: a membership edit re-picked the standbys, and
+  // the Cluster rebuilds each slot's shadow from its active.
+  void DropShadows() { shadow_.clear(); }
   // Live (existing, non-directory) files homed here with their sizes,
   // ascending by id — the deterministic victim-selection input for the
   // Rebalancer.

@@ -3,8 +3,8 @@
 // bookkeeping) against a fake host, and the Cluster's charged migration
 // protocol against open handles, delayed-writeback dirty state, crash
 // schedules on every corner of a move (hot server down, source after,
-// destination after), replication backup hand-off, live resize, same-seed
-// determinism, and the off-mode purity gate.
+// destination after), replication backup hand-off, live resize with and
+// without replication, same-seed determinism, and the off-mode purity gate.
 
 #include "src/fs/rebalance.h"
 
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "src/fs/cluster.h"
-#include "src/fs/sharding.h"
+#include "src/fs/placement.h"
 #include "src/util/rng.h"
 
 namespace sprite {
@@ -27,19 +27,11 @@ namespace {
 
 class FakeHost : public RebalanceHost {
  public:
-  explicit FakeHost(int servers)
-      : files_(servers), live_(servers, true), down_(servers, false) {}
+  FakeHost(int servers, const Placement* placement) : files_(servers), placement_(placement) {}
 
   void Put(ServerId server, FileId file, int64_t bytes) { files_[server][file] = bytes; }
-  void AddEmptyServer() {
-    files_.emplace_back();
-    live_.push_back(true);
-    down_.push_back(false);
-  }
+  void AddEmptyServer() { files_.emplace_back(); }
 
-  int NumServers() const override { return static_cast<int>(files_.size()); }
-  bool IsLive(ServerId server) const override { return live_[server]; }
-  bool IsDown(ServerId server, SimTime) const override { return down_[server]; }
   std::vector<std::pair<FileId, int64_t>> HomedFiles(ServerId server) const override {
     return {files_[server].begin(), files_[server].end()};  // std::map: sorted by id
   }
@@ -50,7 +42,8 @@ class FakeHost : public RebalanceHost {
     }
     return total;
   }
-  MigrationOutcome Migrate(FileId file, ServerId from, ServerId to, SimTime) override {
+  MigrationOutcome Migrate(FileId file, ServerId from, ServerId to_home, SimTime) override {
+    const ServerId to = placement_->Active(to_home);
     auto it = files_[from].find(file);
     if (it == files_[from].end() || from == to) {
       return {};
@@ -74,9 +67,22 @@ class FakeHost : public RebalanceHost {
     return kNoServer;
   }
 
+  // The (file, server) census over live servers, sorted by file id.
+  std::vector<std::pair<FileId, ServerId>> Census() const {
+    std::vector<std::pair<FileId, ServerId>> census;
+    for (size_t s = 0; s < files_.size(); ++s) {
+      if (!placement_->IsRetired(static_cast<ServerId>(s))) {
+        for (const auto& [file, bytes] : files_[s]) {
+          census.emplace_back(file, static_cast<ServerId>(s));
+        }
+      }
+    }
+    std::sort(census.begin(), census.end());
+    return census;
+  }
+
   std::vector<std::map<FileId, int64_t>> files_;
-  std::vector<char> live_;
-  std::vector<char> down_;
+  const Placement* placement_;
   int migrate_calls_ = 0;
 };
 
@@ -94,32 +100,26 @@ HotspotEvent Closed(int server) {
   return ev;
 }
 
-std::unique_ptr<Sharder> ModuloSharder(int servers) {
-  ShardingConfig config;
-  config.policy = ShardingPolicy::kModulo;
-  return MakeSharder(config, servers);
-}
-
 TEST(RebalancerPolicyTest, BurstMovesHeaviestFilesSpreadOverLightestPeers) {
-  FakeHost host(3);
+  Placement placement(ShardingConfig{}, 3, /*replicated=*/false);
+  FakeHost host(3, &placement);
   host.Put(0, 100, 10 * kMegabyte);
   host.Put(0, 101, 8 * kMegabyte);
   host.Put(0, 102, 6 * kMegabyte);
   host.Put(0, 103, 5 * kMegabyte);
   host.Put(0, 104, 4 * kMegabyte);
   host.Put(0, 105, 2 * kKilobyte);  // below min_victim_bytes: never moves
-  auto base = ModuloSharder(3);
-  Rebalancer reb(RebalanceConfig{.enabled = true}, base.get(), &host);
+  Rebalancer reb(RebalanceConfig{.enabled = true}, &placement, &host);
 
   EXPECT_EQ(reb.OnWindow({Opened(0)}, kMinute), 4) << "max_files_per_episode caps the burst";
   EXPECT_EQ(reb.migrations(), 4);
   EXPECT_EQ(reb.moved_bytes(), (10 + 8 + 6 + 5) * kMegabyte) << "heaviest four, not id order";
   EXPECT_EQ(host.HomeOf(104), 0u) << "fifth victim stays: file cap reached";
   EXPECT_EQ(host.HomeOf(105), 0u);
+  EXPECT_EQ(placement.file_homes(), 4);
   for (FileId f = 100; f <= 103; ++f) {
-    EXPECT_TRUE(reb.has_override(f));
-    EXPECT_NE(reb.Route(f), 0u);
-    EXPECT_EQ(reb.Route(f), host.HomeOf(f)) << "router and host agree on file " << f;
+    EXPECT_NE(placement.Home(f), 0u);
+    EXPECT_EQ(placement.Home(f), host.HomeOf(f)) << "router and host agree on file " << f;
   }
   // Destination is re-picked per victim by lightest-bytes, so the burst
   // spreads over both peers instead of dogpiling one.
@@ -128,12 +128,12 @@ TEST(RebalancerPolicyTest, BurstMovesHeaviestFilesSpreadOverLightestPeers) {
 }
 
 TEST(RebalancerPolicyTest, EpisodeByteCapSkipsOversizeVictimButFitsSmaller) {
-  FakeHost host(2);
+  Placement placement(ShardingConfig{}, 2, /*replicated=*/false);
+  FakeHost host(2, &placement);
   host.Put(0, 200, 40 * kMegabyte);
   host.Put(0, 201, 30 * kMegabyte);
   host.Put(0, 202, 20 * kMegabyte);
-  auto base = ModuloSharder(2);
-  Rebalancer reb(RebalanceConfig{.enabled = true}, base.get(), &host);
+  Rebalancer reb(RebalanceConfig{.enabled = true}, &placement, &host);
 
   // 40 moves; 40+30 would blow the 64 MB episode cap so 201 is skipped, but
   // the smaller 202 still fits (40+20 = 60).
@@ -144,14 +144,14 @@ TEST(RebalancerPolicyTest, EpisodeByteCapSkipsOversizeVictimButFitsSmaller) {
 }
 
 TEST(RebalancerPolicyTest, GlobalBudgetStopsHotSpotMigrations) {
-  FakeHost host(2);
+  Placement placement(ShardingConfig{}, 2, /*replicated=*/false);
+  FakeHost host(2, &placement);
   host.Put(0, 300, 10 * kMegabyte);
   host.Put(0, 301, 8 * kMegabyte);
-  auto base = ModuloSharder(2);
   RebalanceConfig config;
   config.enabled = true;
   config.max_total_bytes = 15 * kMegabyte;
-  Rebalancer reb(config, base.get(), &host);
+  Rebalancer reb(config, &placement, &host);
 
   EXPECT_EQ(reb.OnWindow({Opened(0)}, kMinute), 1) << "only the 10 MB victim fits the budget";
   EXPECT_EQ(reb.moved_bytes(), 10 * kMegabyte);
@@ -162,10 +162,10 @@ TEST(RebalancerPolicyTest, GlobalBudgetStopsHotSpotMigrations) {
 }
 
 TEST(RebalancerPolicyTest, ClosedEpisodeMarksBurstDissolved) {
-  FakeHost host(2);
+  Placement placement(ShardingConfig{}, 2, /*replicated=*/false);
+  FakeHost host(2, &placement);
   host.Put(0, 400, 5 * kMegabyte);
-  auto base = ModuloSharder(2);
-  Rebalancer reb(RebalanceConfig{.enabled = true}, base.get(), &host);
+  Rebalancer reb(RebalanceConfig{.enabled = true}, &placement, &host);
 
   EXPECT_EQ(reb.OnWindow({Opened(0)}, kMinute), 1);
   ASSERT_EQ(reb.actions().size(), 1u);
@@ -179,33 +179,31 @@ TEST(RebalancerPolicyTest, ClosedEpisodeMarksBurstDissolved) {
 }
 
 TEST(RebalancerPolicyTest, DownOrDeadHotServerIsLeftAlone) {
-  FakeHost host(2);
+  Placement placement(ShardingConfig{}, 2, /*replicated=*/false);
+  FakeHost host(2, &placement);
   host.Put(0, 500, 5 * kMegabyte);
-  auto base = ModuloSharder(2);
-  Rebalancer reb(RebalanceConfig{.enabled = true}, base.get(), &host);
+  Rebalancer reb(RebalanceConfig{.enabled = true}, &placement, &host);
 
-  host.down_[0] = true;
+  placement.ExtendOutage(0, 2 * kMinute);
   EXPECT_EQ(reb.OnWindow({Opened(0)}, kMinute), 0) << "never pull from a crashed server";
-  host.down_[0] = false;
-  host.down_[1] = true;
+  placement.ExtendOutage(1, 3 * kMinute);
   EXPECT_EQ(reb.OnWindow({Opened(0)}, 2 * kMinute), 0) << "no live destination";
   EXPECT_EQ(host.migrate_calls_, 0);
 }
 
 TEST(RebalancerPolicyTest, AddServerStealsABoundedSliceOnly) {
   constexpr int kFiles = 300;
-  FakeHost host(2);
-  auto base = ModuloSharder(2);
-  std::vector<std::pair<FileId, ServerId>> census;
+  Placement placement(ShardingConfig{}, 2, /*replicated=*/false);
+  FakeHost host(2, &placement);
   for (FileId f = 0; f < kFiles; ++f) {
-    const ServerId home = base->ServerFor(f);
-    host.Put(home, f, 8 * kKilobyte);
-    census.emplace_back(f, home);
+    host.Put(placement.Home(f), f, 8 * kKilobyte);
   }
-  Rebalancer reb(RebalanceConfig{.enabled = true}, base.get(), &host);
+  const auto census = host.Census();
+  Rebalancer reb(RebalanceConfig{.enabled = true}, &placement, &host);
 
   host.AddEmptyServer();
-  const auto moves = reb.OnServerAdded(2, census, kMinute);
+  ASSERT_EQ(placement.AddServer(), 2u);
+  const auto moves = reb.Resettle(census, kMinute);
   // The steal is ~1/(live+1) = 1/3 of the id space, not a full reshuffle.
   EXPECT_GT(moves.size(), kFiles / 6u);
   EXPECT_LT(moves.size(), kFiles / 2u);
@@ -214,42 +212,40 @@ TEST(RebalancerPolicyTest, AddServerStealsABoundedSliceOnly) {
     EXPECT_EQ(host.HomeOf(move.file), 2u);
   }
   for (FileId f = 0; f < kFiles; ++f) {
-    EXPECT_EQ(reb.Route(f), host.HomeOf(f)) << "file " << f;
+    EXPECT_EQ(placement.Home(f), host.HomeOf(f)) << "file " << f;
   }
   EXPECT_EQ(reb.migrations(), 0) << "resize moves are not hot-spot migrations";
   EXPECT_EQ(static_cast<size_t>(reb.resize_moved_bytes()), moves.size() * 8 * kKilobyte);
 }
 
 TEST(RebalancerPolicyTest, RetireEvacuatesEverythingAndRewritesStaleOverrides) {
-  FakeHost host(3);
-  auto base = ModuloSharder(3);
-  std::vector<std::pair<FileId, ServerId>> census2;
+  Placement placement(ShardingConfig{}, 3, /*replicated=*/false);
+  FakeHost host(3, &placement);
   for (FileId f = 0; f < 60; ++f) {
     // Below min_victim_bytes: hot-spot bursts skip these, retire must not.
-    host.Put(base->ServerFor(f), f, 2 * kKilobyte);
+    host.Put(placement.Home(f), f, 2 * kKilobyte);
   }
-  Rebalancer reb(RebalanceConfig{.enabled = true}, base.get(), &host);
+  Rebalancer reb(RebalanceConfig{.enabled = true}, &placement, &host);
 
-  // Install an override pointing at server 2 via a hot-spot burst on 0.
+  // Install a file home pointing at server 2 via a hot-spot burst on 0.
   host.Put(1, 1000, kMegabyte);  // bias: make server 2 the lightest destination
   host.Put(0, 999, 5 * kMegabyte);
   ASSERT_EQ(reb.OnWindow({Opened(0)}, kMinute), 1);
-  ASSERT_EQ(reb.Route(999), 2u);
+  ASSERT_EQ(placement.Home(999), 2u);
 
-  for (const auto& [file, bytes] : host.HomedFiles(2)) {
-    census2.emplace_back(file, 2);
-  }
-  host.live_[2] = false;
-  const auto moves = reb.OnServerRetired(2, census2, 2 * kMinute);
-  EXPECT_EQ(moves.size(), census2.size()) << "a retire evacuates every file, no budget";
+  const auto census = host.Census();
+  const size_t on_retiree = host.files_[2].size();
+  placement.RetireServer(2);
+  const auto moves = reb.Resettle(census, 2 * kMinute);
+  EXPECT_EQ(moves.size(), on_retiree) << "a retire evacuates every file, no budget";
   EXPECT_TRUE(host.files_[2].empty());
   for (FileId f = 0; f < 60; ++f) {
-    EXPECT_NE(reb.Route(f), 2u) << "nothing routes to a retired server";
-    EXPECT_EQ(reb.Route(f), host.HomeOf(f)) << "file " << f;
+    EXPECT_NE(placement.Home(f), 2u) << "nothing routes to a retired server";
+    EXPECT_EQ(placement.Home(f), host.HomeOf(f)) << "file " << f;
   }
-  EXPECT_TRUE(reb.has_override(999));
-  EXPECT_NE(reb.Route(999), 2u) << "the stale override was rewritten off the retiree";
-  EXPECT_EQ(reb.Route(999), host.HomeOf(999));
+  EXPECT_EQ(placement.file_homes(), 1);
+  EXPECT_NE(placement.Home(999), 2u) << "the stale file home was rewritten off the retiree";
+  EXPECT_EQ(placement.Home(999), host.HomeOf(999));
 }
 
 // ---------------- Cluster: the charged protocol -----------------------------
@@ -284,8 +280,8 @@ TEST(RebalanceClusterTest, MigrateWhileOpenKeepsHandleValidAndMovesOpenState) {
 
   EXPECT_EQ(cluster.MigrateOffServer(0, 2 * kSecond), 1);
   ASSERT_NE(cluster.rebalancer(), nullptr);
-  EXPECT_TRUE(cluster.rebalancer()->has_override(file));
-  const ServerId dest = cluster.rebalancer()->Route(file);
+  EXPECT_EQ(cluster.placement().file_homes(), 1);
+  const ServerId dest = cluster.placement().Home(file);
   EXPECT_NE(dest, 0u);
   EXPECT_EQ(cluster.server(dest).open_state_count(), 1)
       << "the live open registration travelled with the home";
@@ -326,7 +322,7 @@ TEST(RebalanceClusterTest, CrashScheduleNeverStrandsAFileOrLosesDirtyBytes) {
   cluster.client(0).Fsync(open.handle, 20 * kSecond);  // dirty now sits in server 0's cache
   cluster.client(0).Close(open.handle, 21 * kSecond);
   EXPECT_EQ(cluster.MigrateOffServer(0, 22 * kSecond), 1);
-  const ServerId dest = cluster.rebalancer()->Route(file);
+  const ServerId dest = cluster.placement().Home(file);
   EXPECT_GT(cluster.rpc_ledger().stat(RpcKind::kMigrateDirty).payload_bytes, 0)
       << "the flushed extents were charged to the wire";
 
@@ -364,9 +360,8 @@ TEST(RebalanceClusterTest, MigrationUnderReplicationMovesTheBackupToo) {
   EXPECT_TRUE(cluster.server(1).HasShadowOpen(file, 0)) << "pre-move shadow on slot 0's standby";
 
   EXPECT_EQ(cluster.MigrateOffServer(0, 2 * kSecond), 1);
-  const ServerId new_home = cluster.rebalancer()->Route(file);
-  ASSERT_NE(cluster.replica(), nullptr);
-  const ServerId new_standby = cluster.replica()->standby(new_home);
+  const ServerId new_home = cluster.placement().Home(file);
+  const ServerId new_standby = cluster.placement().Standby(new_home);
   EXPECT_TRUE(cluster.server(new_standby).HasShadowOpen(file, 0))
       << "the backup followed the home: the new standby shadows the live open";
   if (new_standby != 1) {
@@ -500,14 +495,155 @@ TEST(RebalanceClusterTest, OffModeHasNoRebalanceMachinery) {
   EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kMigrateCommit).calls, 0);
 }
 
-TEST(RebalanceClusterTest, ResizeIsRejectedUnderReplication) {
-  ClusterConfig config = RebCluster();
+// ---------------- Resize under replication ----------------------------------
+
+ClusterConfig ReplicatedRebCluster(int clients, int servers) {
+  ClusterConfig config = RebCluster(clients, servers);
   config.replication.enabled = true;
+  return config;
+}
+
+// Opens `file` for write on client 0, writes `bytes` and fsyncs them, so
+// they sit dirty in the serving server's cache, shadowed by its standby.
+Client::OpenResult HoldDirty(Cluster& cluster, FileId file, int64_t bytes, SimTime now) {
+  auto open = cluster.client(0).Open(1, file, OpenMode::kWrite, OpenDisposition::kNormal,
+                                     false, now);
+  cluster.client(0).Write(open.handle, bytes, now);
+  cluster.client(0).Fsync(open.handle, now);
+  return open;
+}
+
+ServerId ServingServer(const Cluster& cluster, FileId file) {
+  return cluster.placement().Active(cluster.placement().Home(file));
+}
+
+void ExpectEveryFileRoutable(Cluster& cluster, FileId files) {
+  for (FileId f = 0; f < files; ++f) {
+    const ServerId server = cluster.ServerForFile(f).id();
+    EXPECT_FALSE(cluster.placement().IsRetired(server)) << "file " << f;
+    EXPECT_TRUE(cluster.server(server).FileExists(f)) << "file " << f;
+  }
+}
+
+TEST(RebalanceClusterTest, AddThenRetireUnderReplicationKeepsTheRingAndFailsOver) {
   EventQueue queue;
-  Cluster cluster(config, queue);
-  EXPECT_THROW(cluster.AddServer(), std::logic_error)
-      << "the ReplicaMap's home->backup ring is fixed at construction";
-  EXPECT_THROW(cluster.RetireServer(0), std::logic_error);
+  Cluster cluster(ReplicatedRebCluster(2, 3), queue);
+  constexpr FileId kFiles = 24;
+  for (FileId f = 0; f < kFiles; ++f) {
+    Seed(cluster, f, 16 * kKilobyte, 0);
+  }
+  const FileId file = 4;
+  const auto open = HoldDirty(cluster, file, 8 * kKilobyte, kSecond);
+
+  EXPECT_EQ(cluster.AddServer(), 3u);
+  EXPECT_EQ(cluster.placement().Standby(2), 3u) << "the newcomer backs up its ring predecessor";
+  EXPECT_EQ(cluster.placement().Standby(3), 0u);
+  cluster.RetireServer(1);
+  EXPECT_TRUE(cluster.server(1).AllFileIds().empty()) << "the retiree holds no file";
+  ExpectEveryFileRoutable(cluster, kFiles);
+
+  cluster.client(0).Write(open.handle, 4 * kKilobyte, 2 * kSecond);
+  cluster.client(0).Fsync(open.handle, 2 * kSecond);
+  const int64_t dirty = cluster.CrashServer(ServingServer(cluster, file), 10 * kSecond);
+  EXPECT_GT(dirty, 0);
+  EXPECT_EQ(cluster.failovers(), 1);
+  EXPECT_EQ(cluster.degraded_crashes(), 0);
+  EXPECT_EQ(cluster.failover_preserved_bytes(), dirty) << "the rebuilt shadow covered it all";
+  cluster.client(0).Write(open.handle, 4 * kKilobyte, 3 * kSecond);
+  cluster.client(0).Close(open.handle, 4 * kSecond);
+  EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kReopen).calls, 0);
+  EXPECT_EQ(cluster.client(0).stale_handle_count(), 0);
+}
+
+TEST(RebalanceClusterTest, NewServerCrashingRightAfterItsStealFailsOver) {
+  EventQueue queue;
+  Cluster cluster(ReplicatedRebCluster(2, 3), queue);
+  constexpr FileId kFiles = 24;
+  for (FileId f = 0; f < kFiles; ++f) {
+    Seed(cluster, f, 16 * kKilobyte, 0);
+  }
+  const ServerId added = cluster.AddServer();
+  FileId stolen = 0;
+  while (stolen < kFiles && ServingServer(cluster, stolen) != added) {
+    ++stolen;
+  }
+  ASSERT_LT(stolen, kFiles) << "the newcomer stole nothing";
+  const auto open = HoldDirty(cluster, stolen, 8 * kKilobyte, 0);
+
+  const int64_t dirty = cluster.CrashServer(added, 10 * kSecond);
+  EXPECT_GT(dirty, 0);
+  EXPECT_EQ(cluster.failovers(), 1);
+  EXPECT_EQ(cluster.degraded_crashes(), 0);
+  EXPECT_EQ(cluster.failover_preserved_bytes(), dirty);
+  ExpectEveryFileRoutable(cluster, kFiles);
+  cluster.client(0).Write(open.handle, 4 * kKilobyte, kSecond);
+  cluster.client(0).Close(open.handle, 2 * kSecond);
+  EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kReopen).calls, 0);
+  EXPECT_EQ(cluster.client(0).stale_handle_count(), 0);
+}
+
+TEST(RebalanceClusterTest, FailoverRightAfterARetirePreservesTheMovedFile) {
+  EventQueue queue;
+  Cluster cluster(ReplicatedRebCluster(2, 4), queue);
+  constexpr FileId kFiles = 24;
+  for (FileId f = 0; f < kFiles; ++f) {
+    Seed(cluster, f, 16 * kKilobyte, 0);
+  }
+  const FileId file = 1;  // modulo, 4 servers: home 1
+  const auto open = HoldDirty(cluster, file, 8 * kKilobyte, 0);
+
+  cluster.RetireServer(1);
+  const ServerId moved_to = ServingServer(cluster, file);
+  EXPECT_NE(moved_to, 1u) << "the file moved off the retiree";
+  EXPECT_EQ(cluster.server(moved_to).open_state_count(), 1) << "its open travelled along";
+  cluster.client(0).Write(open.handle, 4 * kKilobyte, 0);
+  cluster.client(0).Fsync(open.handle, 0);
+  const int64_t dirty = cluster.CrashServer(moved_to, 10 * kSecond);
+  EXPECT_GT(dirty, 0);
+  EXPECT_EQ(cluster.degraded_crashes(), 0);
+  EXPECT_EQ(cluster.failover_preserved_bytes(), dirty);
+  cluster.client(0).Close(open.handle, kSecond);
+  EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kReopen).calls, 0);
+  EXPECT_EQ(cluster.client(0).stale_handle_count(), 0);
+}
+
+TEST(RebalanceClusterTest, RetiringTheServerThatAbsorbedAHomeHandsItBack) {
+  EventQueue queue;
+  Cluster cluster(ReplicatedRebCluster(2, 3), queue);
+  const FileId file = 3;  // modulo, 3 servers: home 0
+  const auto open = HoldDirty(cluster, file, 8 * kKilobyte, 0);
+
+  cluster.CrashServer(0, 5 * kSecond);
+  ASSERT_EQ(cluster.placement().Active(0), 1u) << "home 0 failed over onto server 1";
+  queue.RunUntil(10 * kSecond);  // server 0 rejoins as home 0's standby
+  ASSERT_TRUE(cluster.placement().Shadowing(0));
+
+  cluster.RetireServer(1);
+  EXPECT_EQ(cluster.placement().Active(0), 0u) << "home 0 went back to server 0";
+  EXPECT_EQ(cluster.server(0).open_state_count(), 1) << "with its open";
+  EXPECT_TRUE(cluster.server(0).FileExists(file));
+  cluster.client(0).Close(open.handle, 11 * kSecond);
+  EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kReopen).calls, 0);
+  EXPECT_EQ(cluster.client(0).stale_handle_count(), 0);
+  EXPECT_EQ(cluster.server(0).open_state_count(), 0) << "closed cleanly on server 0";
+}
+
+// Regression: after a fail-over one server serves two homes, and a burst off
+// it picked its other home as the lightest destination, so every victim's
+// move was a no-op and the burst stalled.
+TEST(RebalanceClusterTest, BurstSkipsHomesTheHotServerAlsoServes) {
+  EventQueue queue;
+  Cluster cluster(ReplicatedRebCluster(2, 3), queue);
+  for (const FileId f : {1, 4}) {
+    Seed(cluster, f, kMegabyte, 0);  // server 1
+  }
+  for (const FileId f : {2, 5, 8, 11}) {
+    Seed(cluster, f, 2 * kMegabyte, 0);  // server 2
+  }
+  cluster.CrashServer(0, 5 * kSecond);  // home 0 fails over onto server 1
+  queue.RunUntil(20 * kSecond);
+  EXPECT_EQ(cluster.MigrateOffServer(1, 20 * kSecond), 2);
+  EXPECT_EQ(cluster.server(1).HomedFiles().size(), 0u);
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
-// Tests for primary/backup replication: the ReplicaMap role bookkeeping,
-// synchronous shadow RPCs from the client stubs, crash fail-over (state
-// preserved, no epoch bump, no reopen storm), degraded correlated failures
-// falling back to classic recovery, rejoin resync / failback, and the
-// determinism of replicated faulted runs.
-
-#include "src/fs/replication.h"
+// Tests for primary/backup replication: the placement map's role
+// bookkeeping, synchronous shadow RPCs from the client stubs, crash
+// fail-over (state preserved, no epoch bump, no reopen storm), degraded
+// correlated failures falling back to classic recovery, rejoin resync /
+// failback, and the determinism of replicated faulted runs.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "src/fs/cluster.h"
+#include "src/fs/placement.h"
 #include "src/util/rng.h"
 
 namespace sprite {
@@ -25,50 +24,40 @@ ClusterConfig ReplCluster(int clients = 2, int servers = 2) {
   return config;
 }
 
-// ---------------- ReplicaMap ------------------------------------------------
+// ---------------- Placement roles -------------------------------------------
 
-TEST(ReplicaMapTest, InitialRolesFollowTheBackupOffset) {
-  ReplicationConfig config;
-  config.enabled = true;
-  const ReplicaMap map(config, /*num_servers=*/3);
-  EXPECT_EQ(map.num_homes(), 3);
+TEST(PlacementRolesTest, InitialRolesFollowTheBackupOffset) {
+  const Placement map(ShardingConfig{}, /*num_servers=*/3, /*replicated=*/true);
+  EXPECT_EQ(map.num_servers(), 3);
   for (ServerId h = 0; h < 3; ++h) {
-    EXPECT_EQ(map.active(h), h);
-    EXPECT_EQ(map.standby(h), (h + 1) % 3);
-    EXPECT_TRUE(map.shadowing(h));
+    EXPECT_EQ(map.Active(h), h);
+    EXPECT_EQ(map.Standby(h), (h + 1) % 3) << "the next server in ring order";
+    EXPECT_TRUE(map.Shadowing(h));
     EXPECT_EQ(map.ActiveHomeCount(h), 1);
   }
   EXPECT_EQ(map.HomesActiveOn(1), std::vector<ServerId>{1});
   EXPECT_EQ(map.HomesStandbyOn(1), std::vector<ServerId>{0});
 }
 
-TEST(ReplicaMapTest, PromoteSwapsRolesAndPausesShadowing) {
-  ReplicationConfig config;
-  config.enabled = true;
-  ReplicaMap map(config, /*num_servers=*/2);
+TEST(PlacementRolesTest, PromoteSwapsRolesAndPausesShadowing) {
+  Placement map(ShardingConfig{}, /*num_servers=*/2, /*replicated=*/true);
   map.Promote(0);
-  EXPECT_EQ(map.active(0), 1u);
-  EXPECT_EQ(map.standby(0), 0u);
-  EXPECT_FALSE(map.shadowing(0)) << "the old primary's shadow died with it";
+  EXPECT_EQ(map.Active(0), 1u);
+  EXPECT_EQ(map.Standby(0), 0u);
+  EXPECT_FALSE(map.Shadowing(0)) << "the old primary's shadow died with it";
   EXPECT_EQ(map.ActiveHomeCount(1), 2) << "server 1 now serves both homes";
   EXPECT_EQ(map.ActiveHomeCount(0), 0);
   map.SetShadowing(0, true);
-  EXPECT_TRUE(map.shadowing(0));
+  EXPECT_TRUE(map.Shadowing(0));
 }
 
-TEST(ReplicaMapTest, RejectsUnreplicableConfigs) {
-  ReplicationConfig config;
-  config.enabled = true;
-  EXPECT_THROW(ReplicaMap(config, /*num_servers=*/1), std::invalid_argument)
+TEST(PlacementRolesTest, RejectsUnreplicableConfigs) {
+  EXPECT_THROW(Placement(ShardingConfig{}, /*num_servers=*/1, /*replicated=*/true),
+               std::invalid_argument)
       << "one server cannot back itself up";
-  ReplicationConfig self;
-  self.enabled = true;
-  self.backup_offset = 4;
-  EXPECT_THROW(ReplicaMap(self, /*num_servers=*/2), std::invalid_argument)
-      << "an offset that is a multiple of the server count maps each home onto itself";
 }
 
-TEST(ReplicaMapTest, ClusterRejectsReplicationWithOneServer) {
+TEST(PlacementRolesTest, ClusterRejectsReplicationWithOneServer) {
   EventQueue queue;
   EXPECT_THROW(Cluster(ReplCluster(2, 1), queue), std::invalid_argument);
 }
@@ -117,8 +106,7 @@ TEST(ReplicationTest, CrashFailsOverWithoutReopenStormAndPreservesState) {
   EXPECT_EQ(cluster.failover_preserved_bytes(), 5000)
       << "the shadowed dirty bytes survive the crash";
   EXPECT_GT(cluster.total_failover_us(), 0);
-  ASSERT_NE(cluster.replica(), nullptr);
-  EXPECT_EQ(cluster.replica()->active(0), 1u) << "home 0 promoted onto its standby";
+    EXPECT_EQ(cluster.placement().Active(0), 1u) << "home 0 promoted onto its standby";
   EXPECT_EQ(cluster.server(1).open_state_count(), 1)
       << "the shadowed open replayed into real open state";
   EXPECT_EQ(cluster.server(1).shadow_file_count(), 0) << "the delta was consumed";
@@ -171,7 +159,7 @@ TEST(ReplicationTest, CorrelatedCrashDegradesToClassicRecovery) {
   // and home 0's shadow is lost.
   cluster.CrashServer(1, 30 * kSecond);
   EXPECT_EQ(cluster.failovers(), 1);
-  EXPECT_FALSE(cluster.replica()->shadowing(0));
+  EXPECT_FALSE(cluster.placement().Shadowing(0));
 
   // Server 0 dies while server 1 is still down: no live shadow anywhere, so
   // this is a correlated failure and both homes ride out classic Sprite
@@ -190,8 +178,8 @@ TEST(ReplicationTest, CorrelatedCrashDegradesToClassicRecovery) {
   // Both servers eventually rejoin and re-arm each other's shadows.
   queue.RunUntil(31 * kSecond);
   EXPECT_GE(cluster.resyncs(), 2);
-  EXPECT_TRUE(cluster.replica()->shadowing(0));
-  EXPECT_TRUE(cluster.replica()->shadowing(1));
+  EXPECT_TRUE(cluster.placement().Shadowing(0));
+  EXPECT_TRUE(cluster.placement().Shadowing(1));
 }
 
 // ---------------- Rejoin, resync, failback ----------------------------------
@@ -206,12 +194,12 @@ TEST(ReplicationTest, RejoinResyncsAndASecondCrashFailsBack) {
   cluster.client(0).Fsync(open.handle, 0);
 
   cluster.CrashServer(0, 10 * kSecond);
-  EXPECT_EQ(cluster.replica()->active(0), 1u);
+  EXPECT_EQ(cluster.placement().Active(0), 1u);
   queue.RunUntil(11 * kSecond);
   // The rebooted server 0 is standby for home 0 now; it resynced the live
   // open from the promoted active, so a crash of server 1 fails BACK.
   EXPECT_GE(cluster.resyncs(), 1);
-  EXPECT_TRUE(cluster.replica()->shadowing(0));
+  EXPECT_TRUE(cluster.placement().Shadowing(0));
   EXPECT_TRUE(cluster.server(0).HasShadowOpen(file, 0));
 
   cluster.CrashServer(1, 10 * kSecond);
@@ -219,8 +207,8 @@ TEST(ReplicationTest, RejoinResyncsAndASecondCrashFailsBack) {
   // its crash is two home fail-overs on top of the original one.
   EXPECT_EQ(cluster.failovers(), 3);
   EXPECT_EQ(cluster.degraded_crashes(), 0);
-  EXPECT_EQ(cluster.replica()->active(0), 0u) << "home 0 is back on its original server";
-  EXPECT_EQ(cluster.replica()->active(1), 0u) << "home 1 rode along onto the survivor";
+  EXPECT_EQ(cluster.placement().Active(0), 0u) << "home 0 is back on its original server";
+  EXPECT_EQ(cluster.placement().Active(1), 0u) << "home 1 rode along onto the survivor";
   cluster.client(0).Close(open.handle, 13 * kSecond);
   EXPECT_EQ(cluster.rpc_ledger().stat(RpcKind::kReopen).calls, 0);
   EXPECT_EQ(cluster.client(0).stale_handle_count(), 0);

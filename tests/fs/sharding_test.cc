@@ -301,7 +301,7 @@ TEST(ClusterShardingTest, ClusterRoutesThroughConfiguredPolicy) {
     EXPECT_EQ(cluster.ServerForFile(file).id(),
               static_cast<ServerId>(SplitMix64(file) % 2));
   }
-  EXPECT_EQ(cluster.placement().total_routed(),
+  EXPECT_EQ(cluster.placement_ledger().total_routed(),
             static_cast<int64_t>(SampleIds().size()));
 }
 
@@ -350,7 +350,7 @@ TEST(ClusterShardingTest, ReopenStormTargetsPolicyPlacedFiles) {
     auto open = client.Open(1, file, OpenMode::kWrite, OpenDisposition::kNormal,
                             false, 0);
     handles.push_back(open.handle);
-    if (cluster.sharder().ServerFor(file) == victim) {
+    if (cluster.placement().sharder().ServerFor(file) == victim) {
       ++on_victim;
     } else {
       ++elsewhere;
@@ -369,7 +369,7 @@ TEST(ClusterShardingTest, ReopenStormTargetsPolicyPlacedFiles) {
   // the ones the sharder homes on the victim. Pick a probe file the policy
   // places there so the RPC actually reaches the rebooted server.
   FileId probe_file = 500;
-  while (cluster.sharder().ServerFor(probe_file) != victim) {
+  while (cluster.placement().sharder().ServerFor(probe_file) != victim) {
     ++probe_file;
   }
   auto probe = client.Open(1, probe_file, OpenMode::kRead, OpenDisposition::kNormal,

@@ -542,7 +542,7 @@ TEST_P(PlacementDeterminismProperty, SameSeedYieldsSamePlacement) {
       cluster.sharding.policy = policy;
       Generator generator(params, cluster);
       generator.Run(10 * kMinute);
-      const PlacementLedger& ledger = generator.cluster().placement();
+      const PlacementLedger& ledger = generator.cluster().placement_ledger();
       for (ServerId s = 0; s < 3; ++s) {
         routed->push_back(ledger.routed(s));
         placed->push_back(ledger.files_placed(s));

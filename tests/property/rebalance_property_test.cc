@@ -1,7 +1,7 @@
 // Rebalancing property sweeps: randomized sequences of hot-spot migration
-// bursts, AddServer steals, and RetireServer evacuations against a fake
-// host, checked after every step for the routing invariants the live
-// cluster depends on — every file routes to exactly one live server, the
+// bursts, AddServer steals, and RetireServer evacuations over a Placement
+// and a fake host, checked after every step for the routing invariants the
+// live cluster depends on — every file routes to exactly one live server, the
 // router and the host never disagree on where a file lives, retired
 // servers hold nothing and receive nothing, adds steal only a bounded
 // slice, and the hot-spot movement budget is never overspent.
@@ -9,12 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/fs/placement.h"
 #include "src/fs/rebalance.h"
-#include "src/fs/sharding.h"
 #include "src/util/rng.h"
 
 namespace sprite {
@@ -22,19 +21,13 @@ namespace {
 
 class SequenceHost : public RebalanceHost {
  public:
-  explicit SequenceHost(int servers)
-      : files_(servers), live_(servers, true), down_(servers, false) {}
+  SequenceHost(int servers, const Placement* placement)
+      : files_(servers), placement_(placement) {}
 
   void Put(ServerId server, FileId file, int64_t bytes) { files_[server][file] = bytes; }
-  void AddEmptyServer() {
-    files_.emplace_back();
-    live_.push_back(true);
-    down_.push_back(false);
-  }
+  void AddEmptyServer() { files_.emplace_back(); }
+  int NumServers() const { return static_cast<int>(files_.size()); }
 
-  int NumServers() const override { return static_cast<int>(files_.size()); }
-  bool IsLive(ServerId server) const override { return live_[server]; }
-  bool IsDown(ServerId server, SimTime) const override { return down_[server]; }
   std::vector<std::pair<FileId, int64_t>> HomedFiles(ServerId server) const override {
     return {files_[server].begin(), files_[server].end()};
   }
@@ -45,7 +38,8 @@ class SequenceHost : public RebalanceHost {
     }
     return total;
   }
-  MigrationOutcome Migrate(FileId file, ServerId from, ServerId to, SimTime) override {
+  MigrationOutcome Migrate(FileId file, ServerId from, ServerId to_home, SimTime) override {
+    const ServerId to = placement_->Active(to_home);
     auto it = files_[from].find(file);
     if (it == files_[from].end() || from == to) {
       return {};
@@ -59,12 +53,12 @@ class SequenceHost : public RebalanceHost {
     return outcome;
   }
 
-  // The pre-event (file, home) census over live servers, sorted by file id
-  // (what Cluster::HomeCensus feeds the resize hooks).
+  // The pre-event (file, server) census over live servers, sorted by file
+  // id (what Cluster::HomeCensus feeds Rebalancer::Resettle).
   std::vector<std::pair<FileId, ServerId>> Census() const {
     std::map<FileId, ServerId> sorted;
     for (size_t s = 0; s < files_.size(); ++s) {
-      if (!live_[s]) {
+      if (placement_->IsRetired(static_cast<ServerId>(s))) {
         continue;
       }
       for (const auto& [file, bytes] : files_[s]) {
@@ -75,8 +69,7 @@ class SequenceHost : public RebalanceHost {
   }
 
   std::vector<std::map<FileId, int64_t>> files_;
-  std::vector<char> live_;
-  std::vector<char> down_;
+  const Placement* placement_;
 };
 
 class RebalanceSequenceProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -88,28 +81,28 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
   constexpr FileId kFiles = 200;
   constexpr int kMaxServers = 9;
 
-  SequenceHost host(kInitialServers);
   ShardingConfig shard;
   shard.policy = (seed % 2 == 0) ? ShardingPolicy::kModulo : ShardingPolicy::kHash;
-  std::unique_ptr<Sharder> base = MakeSharder(shard, kInitialServers);
+  Placement placement(shard, kInitialServers, /*replicated=*/false);
+  SequenceHost host(kInitialServers, &placement);
   RebalanceConfig config;
   config.enabled = true;
   // Odd seeds run with a finite hot-spot budget so the sweep exercises the
   // skip path too.
   config.max_total_bytes = (seed % 2 == 1) ? 64 * kMegabyte : 0;
-  Rebalancer reb(config, base.get(), &host);
+  Rebalancer reb(config, &placement, &host);
 
   for (FileId f = 0; f < kFiles; ++f) {
-    host.Put(base->ServerFor(f), f,
+    host.Put(placement.Home(f), f,
              4 * kKilobyte + static_cast<int64_t>(rng.NextBelow(4 * kMegabyte)));
   }
 
   auto check_invariants = [&](const char* when, int step) {
     for (FileId f = 0; f < kFiles; ++f) {
-      const ServerId routed = reb.Route(f);
+      const ServerId routed = placement.Active(placement.Home(f));
       ASSERT_NE(routed, kNoServer) << when << " step " << step << " file " << f;
       ASSERT_LT(routed, static_cast<ServerId>(host.NumServers()));
-      ASSERT_TRUE(host.live_[routed])
+      ASSERT_FALSE(placement.IsRetired(routed))
           << when << " step " << step << ": file " << f << " routed to dead server " << routed;
       int copies = 0;
       for (int s = 0; s < host.NumServers(); ++s) {
@@ -124,7 +117,7 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
                            << " must live on exactly one server";
     }
     for (int s = 0; s < host.NumServers(); ++s) {
-      if (!host.live_[s]) {
+      if (placement.IsRetired(static_cast<ServerId>(s))) {
         ASSERT_TRUE(host.files_[s].empty())
             << when << " step " << step << ": retired server " << s << " still holds files";
       }
@@ -137,8 +130,8 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
     now += kMinute;
     const int live_count = [&] {
       int n = 0;
-      for (const char alive : host.live_) {
-        n += alive != 0;
+      for (int s = 0; s < host.NumServers(); ++s) {
+        n += !placement.IsRetired(static_cast<ServerId>(s));
       }
       return n;
     }();
@@ -146,7 +139,7 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
       case 0:
       case 1: {  // hot-spot burst on a random live server
         const ServerId hot = static_cast<ServerId>(rng.NextBelow(host.NumServers()));
-        if (host.live_[hot]) {
+        if (!placement.IsRetired(hot)) {
           HotspotEvent ev;
           ev.episode.server = static_cast<int>(hot);
           reb.OnWindow({ev}, now);
@@ -159,8 +152,8 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
         }
         const auto census = host.Census();
         host.AddEmptyServer();
-        const ServerId added = static_cast<ServerId>(host.NumServers() - 1);
-        const auto moves = reb.OnServerAdded(added, census, now);
+        const ServerId added = placement.AddServer();
+        const auto moves = reb.Resettle(census, now);
         // Bounded movement: the steal expects |census|/(live+1); even with
         // per-file randomness it stays far from a full reshuffle.
         ASSERT_LE(moves.size(), census.size() * 2 / (live_count + 1) + 8)
@@ -175,16 +168,14 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
           break;
         }
         const ServerId victim = static_cast<ServerId>(rng.NextBelow(host.NumServers()));
-        if (!host.live_[victim]) {
+        if (placement.IsRetired(victim)) {
           break;
         }
-        std::vector<std::pair<FileId, ServerId>> census;
-        for (const auto& [file, bytes] : host.files_[victim]) {
-          census.emplace_back(file, victim);
-        }
-        host.live_[victim] = false;
-        const auto moves = reb.OnServerRetired(victim, census, now);
-        ASSERT_EQ(moves.size(), census.size()) << "retire must evacuate every file";
+        const auto census = host.Census();
+        const size_t on_victim = host.files_[victim].size();
+        placement.RetireServer(victim);
+        const auto moves = reb.Resettle(census, now);
+        ASSERT_EQ(moves.size(), on_victim) << "retire must evacuate every file";
         break;
       }
     }
@@ -197,7 +188,7 @@ TEST_P(RebalanceSequenceProperty, RoutingStaysConsistentUnderRandomTopologyChurn
   }
   // Re-walking the id space is pure: a second pass routes identically.
   for (FileId f = 0; f < kFiles; ++f) {
-    EXPECT_EQ(reb.Route(f), reb.Route(f));
+    EXPECT_EQ(placement.Home(f), placement.Home(f));
   }
 }
 

@@ -562,7 +562,7 @@ randomized_sweep() {
   # same-seed cluster runs) as their own stage under the sanitizers; any
   # nondeterminism or sanitizer report fails the pass.
   ctest --test-dir "${build_dir}" --output-on-failure --repeat until-pass:1 \
-    -R "RebalanceSequenceProperty|ShadowConservationProperty|SameSeedRebalancedRuns|Deterministic"
+    -R "RebalanceSequenceProperty|PlacementChurnProperty|ShadowConservationProperty|SameSeedRebalancedRuns|Deterministic"
 }
 
 perf_gate() {
