@@ -194,7 +194,7 @@ int main() {
   std::printf("the rebalancer charges nothing on a placement that is already flat.\n");
   sprite_bench::PrintScale(scale);
 
-  // Machine-checkable acceptance lines (tools/check.sh rebalance smoke).
+  // Machine-checkable acceptance lines.
   const RebalanceResult& on = results[0];
   const RebalanceResult& hash = results[2];
   std::printf("\nacceptance: modulo-on migrations=%lld dissolved=%d/%d tail_ratio=%s\n",

@@ -246,7 +246,7 @@ TEST(ObservabilityTest, CriticalPathAndHotspotDoNotPerturbTheSimulation) {
   EXPECT_EQ(observed.cluster().rpc_ledger(), bare.cluster().rpc_ledger());
 }
 
-// The sharding hot-spot scenario from bench/ablation_sharding and check.sh:
+// The sharding hot-spot scenario from bench/ablation_sharding and CliSmoke.obs:
 // heavy workload (simulation tasks dominate) on the event-driven transport
 // with 2 servers. Modulo placement aims every user's simulation input at one
 // server; hash placement spreads them on the same seed.

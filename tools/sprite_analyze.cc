@@ -125,7 +125,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/analysis/accesses.h"
 #include "src/analysis/activity.h"
@@ -245,6 +247,15 @@ int main(int argc, char** argv) {
       }
       out = std::atoi(argv[++i]);
     };
+    // A client count or a period of zero or less is rejected here, before
+    // anything is simulated, not deep inside the run.
+    auto next_positive = [&](int& out) {
+      next_int(out);
+      if (out <= 0) {
+        std::fprintf(stderr, "%s must be positive, got %s\n", arg.c_str(), argv[i]);
+        std::exit(2);
+      }
+    };
     if (arg == "--text") {
       text = true;
     } else if (arg == "--rpc-ledger") {
@@ -275,11 +286,15 @@ int main(int argc, char** argv) {
       net_contention = true;
     } else if (arg == "--heavy") {
       heavy = true;
-    } else if (arg == "--interval" && i + 1 < argc) {
-      interval = static_cast<SimDuration>(std::atoi(argv[++i])) * kSecond;
-    } else if (arg == "--metrics-interval" && i + 1 < argc) {
+    } else if (arg == "--interval") {
+      int seconds = 0;
+      next_positive(seconds);
+      interval = static_cast<SimDuration>(seconds) * kSecond;
+    } else if (arg == "--metrics-interval") {
       metrics = true;
-      metrics_interval = static_cast<SimDuration>(std::atoi(argv[++i])) * kSecond;
+      int seconds = 0;
+      next_positive(seconds);
+      metrics_interval = static_cast<SimDuration>(seconds) * kSecond;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -312,7 +327,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--users") {
       next_int(users);
     } else if (arg == "--clients") {
-      next_int(clients);
+      next_positive(clients);
     } else if (arg == "--servers") {
       next_int(servers);
     } else if (arg == "--minutes") {
@@ -338,40 +353,24 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  if (!crash_schedule_spec.empty() && !simulate) {
-    std::fprintf(stderr, "--crash-schedule requires --simulate\n");
-    Usage();
-    return 2;
-  }
-  if (async_rpc && !simulate) {
-    std::fprintf(stderr, "--async requires --simulate\n");
-    Usage();
-    return 2;
-  }
-  if (replication && !simulate) {
-    std::fprintf(stderr, "--replication requires --simulate\n");
-    Usage();
-    return 2;
-  }
-  if ((honest_wire || rpc_batching || net_contention) && !simulate) {
-    std::fprintf(stderr, "--honest-wire/--rpc-batching/--net-contention require --simulate\n");
-    Usage();
-    return 2;
-  }
-  if ((shard_report || shard_policy != ShardingPolicy::kModulo) && !simulate) {
-    std::fprintf(stderr, "--shard-policy / --shard-report require --simulate\n");
-    Usage();
-    return 2;
-  }
-  if ((critical_path || hotspot_report) && !simulate) {
-    std::fprintf(stderr, "--critical-path / --hotspot-report require --simulate\n");
-    Usage();
-    return 2;
-  }
-  if (rebalance && !simulate) {
-    std::fprintf(stderr, "--rebalance requires --simulate\n");
-    Usage();
-    return 2;
+  // Options that only a live cluster can honour.
+  const std::pair<bool, const char*> live_only[] = {
+      {!crash_schedule_spec.empty(), "--crash-schedule requires --simulate"},
+      {async_rpc, "--async requires --simulate"},
+      {replication, "--replication requires --simulate"},
+      {honest_wire || rpc_batching || net_contention,
+       "--honest-wire/--rpc-batching/--net-contention require --simulate"},
+      {shard_report || shard_policy != ShardingPolicy::kModulo,
+       "--shard-policy / --shard-report require --simulate"},
+      {critical_path || hotspot_report, "--critical-path / --hotspot-report require --simulate"},
+      {rebalance, "--rebalance requires --simulate"},
+  };
+  for (const auto& [given, message] : live_only) {
+    if (given && !simulate) {
+      std::fprintf(stderr, "%s\n", message);
+      Usage();
+      return 2;
+    }
   }
   FaultSchedule fault_schedule;
   if (!crash_schedule_spec.empty()) {
@@ -433,7 +432,12 @@ int main(int argc, char** argv) {
     cluster.sharding.policy = shard_policy;
     std::fprintf(stderr, "simulating %d min (+%d warmup) for %d users on %d clients...\n",
                  minutes, warmup, users, clients);
-    generator = std::make_unique<Generator>(params, cluster);
+    try {
+      generator = std::make_unique<Generator>(params, cluster);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "bad configuration: %s\n", e.what());
+      return 2;
+    }
     if (!fault_schedule.empty()) {
       try {
         ApplyFaultSchedule(generator->cluster(), fault_schedule);
