@@ -3,10 +3,105 @@
 #include <algorithm>
 #include <cassert>
 
+#include <sanitizer/asan_interface.h>
+
 namespace sprite {
 
+namespace {
+constexpr size_t kMinSlots = 16;
+}  // namespace
+
 BlockCache::BlockCache(const CacheConfig& config, CacheCounters* counters)
-    : config_(config), counters_(counters), limit_blocks_(config.min_blocks) {}
+    : config_(config), counters_(counters), limit_blocks_(config.min_blocks),
+      slots_(kMinSlots) {}
+
+uint32_t BlockCache::HashKey(BlockKey key) {
+  // MurmurHash3's 64-bit finalizer over both key words: blocks of one file
+  // spread over the whole table instead of forming one long probe run.
+  uint64_t h = key.file * 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(key.index);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<uint32_t>(h);
+}
+
+const BlockCache::Entry* BlockCache::Locate(BlockKey key) const {
+  const uint32_t hash = HashKey(key);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot slot = slots_[i];
+    if (slot.entry == kNoEntry) {
+      return nullptr;
+    }
+    if (slot.hash == hash) {
+      const Entry& entry = pool_[slot.entry];
+      if (entry.key == key) {
+        return &entry;
+      }
+    }
+  }
+}
+
+void BlockCache::Place(Slot slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = slot.hash & mask;
+  while (slots_[i].entry != kNoEntry) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = slot;
+}
+
+BlockCache::Entry* BlockCache::Allocate(BlockKey key) {
+  assert(Locate(key) == nullptr);
+  if (2 * static_cast<size_t>(block_count() + 1) > slots_.size()) {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.entry != kNoEntry) {
+        Place(slot);
+      }
+    }
+  }
+  uint32_t index = 0;
+  if (free_.empty()) {
+    index = static_cast<uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(&pool_[index], sizeof(Entry));
+    pool_[index] = Entry{};
+  }
+  Entry& entry = pool_[index];
+  entry.key = key;
+  entry.pool_index = index;
+  Place({HashKey(key), index});
+  return &entry;
+}
+
+void BlockCache::Release(Entry* entry) {
+  const uint32_t index = entry->pool_index;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = HashKey(entry->key) & mask;
+  while (slots_[hole].entry != index) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: each later member of the probe run moves into the hole
+  // unless its home slot lies cyclically after the hole.
+  for (size_t next = (hole + 1) & mask; slots_[next].entry != kNoEntry;
+       next = (next + 1) & mask) {
+    const size_t home = slots_[next].hash & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole] = Slot{};
+  free_.push_back(index);
+  ASAN_POISON_MEMORY_REGION(entry, sizeof(Entry));
+}
 
 void BlockCache::LruUnlink(Entry* entry) {
   if (entry->lru_prev != nullptr) {
@@ -95,72 +190,70 @@ void BlockCache::MarkClean(Entry* entry) {
 }
 
 bool BlockCache::Lookup(BlockKey key, SimTime now) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  Entry* entry = Find(key);
+  if (entry == nullptr) {
     return false;
   }
-  if (it->second.prefetched) {
-    it->second.prefetched = false;
+  if (entry->prefetched) {
+    entry->prefetched = false;
     if (counters_ != nullptr) {
       ++counters_->prefetch_useful;
     }
   }
-  TouchLru(&it->second, now);
+  TouchLru(entry, now);
   return true;
 }
 
-void BlockCache::InsertClean(BlockKey key, SimTime now, WritebackFn writeback) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    TouchLru(&it->second, now);
-    return;
-  }
+BlockCache::Entry* BlockCache::InsertNew(BlockKey key, SimTime now,
+                                         const WritebackFn& writeback) {
   while (block_count() >= limit_blocks_ && lru_tail_ != nullptr) {
     EvictBlock(lru_tail_, now, CleanReason::kReplacement, ReplaceReason::kForFileBlock,
                writeback);
   }
-  Entry& entry = entries_[key];
-  entry.key = key;
-  entry.last_ref = now;
-  LruPushFront(&entry);
-  PushSlot(files_[key.file].blocks, &Entry::block_slot, &entry);
+  Entry* entry = Allocate(key);
+  entry->last_ref = now;
+  LruPushFront(entry);
+  PushSlot(files_[key.file].blocks, &Entry::block_slot, entry);
+  return entry;
+}
+
+void BlockCache::InsertClean(BlockKey key, SimTime now, WritebackFn writeback) {
+  if (Entry* entry = Find(key)) {
+    TouchLru(entry, now);
+    return;
+  }
+  InsertNew(key, now, writeback);
 }
 
 void BlockCache::InsertPrefetched(BlockKey key, SimTime now, WritebackFn writeback) {
-  const bool was_resident = Contains(key);
-  InsertClean(key, now, std::move(writeback));
-  if (!was_resident) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.prefetched = true;
-      if (counters_ != nullptr) {
-        ++counters_->prefetch_fetches;
-      }
-    }
+  if (Entry* entry = Find(key)) {
+    TouchLru(entry, now);
+    return;
+  }
+  InsertNew(key, now, writeback)->prefetched = true;
+  if (counters_ != nullptr) {
+    ++counters_->prefetch_fetches;
   }
 }
 
 bool BlockCache::Write(BlockKey key, SimTime now, int64_t end_in_block, WritebackFn writeback) {
-  auto it = entries_.find(key);
-  const bool was_resident = it != entries_.end();
-  if (!was_resident) {
-    InsertClean(key, now, writeback);
-    it = entries_.find(key);
-    assert(it != entries_.end());
+  Entry* entry = Find(key);
+  const bool was_resident = entry != nullptr;
+  if (was_resident) {
+    TouchLru(entry, now);
   } else {
-    TouchLru(&it->second, now);
+    entry = InsertNew(key, now, writeback);
   }
-  Entry& entry = it->second;
-  if (!entry.dirty) {
-    MarkDirty(&entry, now);
+  if (!entry->dirty) {
+    MarkDirty(entry, now);
   }
-  entry.dirty_extent = std::clamp<int64_t>(end_in_block, entry.dirty_extent, kBlockSize);
+  entry->dirty_extent = std::clamp<int64_t>(end_in_block, entry->dirty_extent, kBlockSize);
   return was_resident;
 }
 
 bool BlockCache::IsDirty(BlockKey key) const {
-  auto it = entries_.find(key);
-  return it != entries_.end() && it->second.dirty;
+  const Entry* entry = Locate(key);
+  return entry != nullptr && entry->dirty;
 }
 
 BlockCache::Entry* BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason reason,
@@ -177,11 +270,10 @@ BlockCache::Entry* BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason
     writeback(key, entry->dirty_extent);
     if (erase_count_ != erases) {
       // The callback re-entered and erased blocks; `entry` may be freed.
-      auto it = entries_.find(key);
-      if (it == entries_.end()) {
+      entry = Find(key);
+      if (entry == nullptr) {
         return nullptr;
       }
-      entry = &it->second;
     }
   }
   if (entry->dirty) {  // a nested flush of the same file may have cleaned it
@@ -199,8 +291,7 @@ void BlockCache::EraseEntry(Entry* entry) {
   if (fs.blocks.empty() && fs.version == 0) {
     files_.erase(fit);
   }
-  const BlockKey key = entry->key;
-  entries_.erase(key);
+  Release(entry);
   ++erase_count_;
 }
 
@@ -215,8 +306,7 @@ int64_t BlockCache::EraseFile(uint64_t file) {
   }
   for (Entry* entry : fit->second.blocks) {
     LruUnlink(entry);
-    const BlockKey key = entry->key;
-    entries_.erase(key);
+    Release(entry);
   }
   if (!fit->second.dirty.empty()) {
     dirty_files_.erase(file);
@@ -378,12 +468,12 @@ bool BlockCache::ReleaseLruToVm(SimTime now, WritebackFn writeback) {
 }
 
 void BlockCache::DemoteToLruTail(BlockKey key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  Entry* entry = Find(key);
+  if (entry == nullptr) {
     return;
   }
-  LruUnlink(&it->second);
-  LruPushBack(&it->second);
+  LruUnlink(entry);
+  LruPushBack(entry);
 }
 
 std::pair<int64_t, int64_t> BlockCache::CrashReset(const WritebackFn& nvram_recovery) {
@@ -406,7 +496,11 @@ std::pair<int64_t, int64_t> BlockCache::CrashReset(const WritebackFn& nvram_reco
       lost += extent;
     }
   }
-  entries_.clear();
+  // A fresh pool, not clear(): clear() keeps a chunk whose freed entries
+  // are poisoned under ASan.
+  std::deque<Entry>().swap(pool_);
+  free_.clear();
+  slots_.assign(kMinSlots, Slot{});
   lru_head_ = nullptr;
   lru_tail_ = nullptr;
   files_.clear();

@@ -14,8 +14,10 @@
 //   * Per-file version numbers let a client flush stale blocks when the
 //     server reports a newer version at open time.
 //
-// Hot-path layout: the LRU chain is intrusive (prev/next pointers embedded
-// in the map entries — no separate std::list of keys). Each file's blocks
+// Hot-path layout: entries live in a pool whose addresses never move, and a
+// private open-addressed index maps each (file, block) key to its pool
+// entry. The LRU chain is intrusive (prev/next pointers embedded in the
+// entries — no separate std::list of keys). Each file's blocks
 // live in two unordered vectors inside one FileState: every resident block,
 // and the dirty ones only. Each entry stores its slot in both, so inserting,
 // evicting, dirtying and cleaning a block are O(1) swap-removes no matter
@@ -35,6 +37,7 @@
 #define SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <set>
 #include <unordered_map>
@@ -71,7 +74,7 @@ class BlockCache {
   using WritebackFn = std::function<void(BlockKey key, int64_t bytes)>;
 
   // --- Size management -----------------------------------------------------
-  int64_t block_count() const { return static_cast<int64_t>(entries_.size()); }
+  int64_t block_count() const { return static_cast<int64_t>(pool_.size() - free_.size()); }
   int64_t size_bytes() const { return block_count() * kBlockSize; }
   int64_t limit_blocks() const { return limit_blocks_; }
   // Raises or lowers the limit; lowering does not evict immediately (the
@@ -80,7 +83,7 @@ class BlockCache {
 
   // --- Read path -----------------------------------------------------------
   // True if the block is resident (does not touch LRU state).
-  bool Contains(BlockKey key) const { return entries_.count(key) != 0; }
+  bool Contains(BlockKey key) const { return Locate(key) != nullptr; }
   // Read hit check: if resident, refreshes LRU position and returns true.
   bool Lookup(BlockKey key, SimTime now);
 
@@ -192,17 +195,26 @@ class BlockCache {
     SimTime last_ref = 0;
     SimTime dirty_since = 0;   // first write after last clean
     int64_t dirty_extent = 0;  // bytes from block start covered by writeback
-    // Intrusive LRU links (head = most recent, tail = least recent).
-    // unordered_map nodes are pointer-stable, so these survive unrelated
-    // inserts and erases.
+    // Intrusive LRU links (head = most recent, tail = least recent). Pool
+    // entries never move, so these survive unrelated inserts and erases.
     Entry* lru_prev = nullptr;
     Entry* lru_next = nullptr;
     // This entry's index in its FileState's `blocks`, and in `dirty` while
     // dirty: swap-removal needs no search.
     uint32_t block_slot = 0;
     uint32_t dirty_slot = 0;
+    uint32_t pool_index = 0;  // this entry's own position in `pool_`
     bool prefetched = false;  // inserted by readahead, not yet demanded
     bool dirty = false;
+  };
+
+  // One slot of the block index: the key's 32-bit hash, which is both its
+  // home slot and its compare tag, and its entry's pool index (kNoEntry
+  // while the slot is empty).
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t entry = kNoEntry;
   };
 
   // All per-file state in one node: the resident blocks, the dirty subset
@@ -222,10 +234,28 @@ class BlockCache {
   // takes the lowest block off the back and each MarkClean is a pop_back.
   static void SortForFlush(std::vector<Entry*>& dirty);
 
+  // The block index: linear probing over `slots_`, kept at most half full,
+  // with backward-shift erase and no tombstones. Growing and erasing read
+  // only slots; a probe reads an entry only when the hash tag matches.
+  static uint32_t HashKey(BlockKey key);
+  // `key`'s entry, or nullptr if it is not resident.
+  const Entry* Locate(BlockKey key) const;
+  Entry* Find(BlockKey key) { return const_cast<Entry*>(Locate(key)); }
+  // Takes a pool entry for `key`, which must not be resident, and indexes it.
+  Entry* Allocate(BlockKey key);
+  // Unindexes `entry` and returns it to the free list. Under ASan the freed
+  // entry is poisoned until reused, so a stale Entry* still faults.
+  void Release(Entry* entry);
+  // Puts `slot` at the first free position of its probe run.
+  void Place(Slot slot);
+
   void LruUnlink(Entry* entry);
   void LruPushFront(Entry* entry);
   void LruPushBack(Entry* entry);
   void TouchLru(Entry* entry, SimTime now);
+  // Inserts absent `key` as the most recent clean block, first evicting LRU
+  // blocks down to the limit.
+  Entry* InsertNew(BlockKey key, SimTime now, const WritebackFn& writeback);
   // Dirty-flag transitions route through these so the per-file dirty lists
   // and the dirty-file set stay exact.
   void MarkDirty(Entry* entry, SimTime now);
@@ -250,7 +280,11 @@ class BlockCache {
   CacheCounters* counters_;
   int64_t limit_blocks_;
 
-  std::unordered_map<BlockKey, Entry, BlockKeyHash> entries_;
+  // Resident blocks. A deque never moves its elements, and an erased
+  // entry's position goes to `free_` for reuse.
+  std::deque<Entry> pool_;
+  std::vector<uint32_t> free_;
+  std::vector<Slot> slots_;  // the block index; size is a power of two
   Entry* lru_head_ = nullptr;  // most recent
   Entry* lru_tail_ = nullptr;  // least recent
   // file -> blocks/dirty blocks/version. An entry outlives its blocks only

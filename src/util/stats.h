@@ -49,7 +49,6 @@ class StreamingStats {
 class WeightedSamples {
  public:
   void Add(double value, double weight = 1.0);
-  void Reserve(size_t n) { samples_.reserve(n); }
 
   bool empty() const { return samples_.empty(); }
   size_t size() const { return samples_.size(); }

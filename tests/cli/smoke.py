@@ -180,16 +180,23 @@ CASES = {
     # Bad input fails before anything is simulated: exit 2 with a message,
     # never an uncaught exception.
     "flags": [
-        Run(name, args, exit=2, has={"stderr": [message]}, lacks={"stderr": "terminate called"})
-        for name, args, message in [
-            ("one-server-replication", f"{SIM} --servers 1 --replication",
+        Run(name, args, tool=tool, exit=2, has={"stderr": [message]},
+            lacks={"stderr": "terminate called"})
+        for tool, name, args, message in [
+            ("analyze", "one-server-replication", f"{SIM} --servers 1 --replication",
              "replication requires at least 2 servers"),
-            ("zero-clients", f"{SIM} --clients 0", "--clients must be positive, got 0"),
-            ("negative-clients", f"{SIM} --clients -3", "--clients must be positive, got -3"),
-            ("zero-interval", f"{SIM} --interval 0", "--interval must be positive, got 0"),
-            ("zero-metrics-interval", f"{SIM} --metrics --metrics-interval 0",
+            ("analyze", "zero-clients", f"{SIM} --clients 0", "--clients must be positive, got 0"),
+            ("analyze", "negative-clients", f"{SIM} --clients -3",
+             "--clients must be positive, got -3"),
+            ("analyze", "zero-interval", f"{SIM} --interval 0",
+             "--interval must be positive, got 0"),
+            ("analyze", "zero-metrics-interval", f"{SIM} --metrics --metrics-interval 0",
              "--metrics-interval must be positive, got 0"),
-            ("async-replay", "--async $dir/none.trace", "--async requires --simulate"),
+            ("analyze", "async-replay", "--async $dir/none.trace", "--async requires --simulate"),
+            ("tracegen", "gen-zero-clients", f"{SHAPE} --clients 0 $dir/none.trace",
+             "--clients must be positive, got 0"),
+            ("tracegen", "gen-negative-clients", f"{SHAPE} --clients -3 $dir/none.trace",
+             "--clients must be positive, got -3"),
         ]
     ],
     # The trace-file path. sprite_tracegen writes SIM's trace (same seed and

@@ -5,7 +5,10 @@ Runs the BM_SimulateCluster benchmarks (and the BM_SimulateRebalance
 hot-spot/rebalancing recipe) from bench/micro_perf and maintains one
 committed BENCH_sim_<scenario>.json file per scenario at the repo root. Each file holds a `trajectory` list of labelled measurements
 (events/sec, wall-clock ms per simulated hour, peak RSS), appended once per
-PR, so speedups and regressions both leave a record.
+PR, so speedups and regressions both leave a record. Each scenario runs in
+its own process, so its peak RSS is its own. Entries dated before
+2026-10-18 ran every scenario in one process: their peak RSS is the
+high-water mark of that scenario and every one that ran before it.
 
 Subcommands:
   measure --bin PATH [--min-time S]
@@ -41,16 +44,23 @@ BENCH_PREFIXES = {
 
 
 def run_benchmarks(binary, min_time):
-    cmd = [
-        binary,
-        "--benchmark_filter=^BM_Simulate(Cluster|Rebalance)/",
-        "--benchmark_format=json",
-        "--benchmark_min_time=%g" % min_time,
-    ]
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
-    doc = json.loads(proc.stdout)
+    listing = subprocess.run(
+        [binary, "--benchmark_list_tests=true",
+         "--benchmark_filter=^BM_Simulate(Cluster|Rebalance)/"],
+        stdout=subprocess.PIPE, check=True, text=True)
+    benchmarks = []
+    # One process per scenario: ru_maxrss is a process-wide high-water mark.
+    for name in listing.stdout.split():
+        cmd = [
+            binary,
+            "--benchmark_filter=^%s$" % name,
+            "--benchmark_format=json",
+            "--benchmark_min_time=%g" % min_time,
+        ]
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
+        benchmarks += json.loads(proc.stdout).get("benchmarks", [])
     measurements = {}
-    for bench in doc.get("benchmarks", []):
+    for bench in benchmarks:
         name = bench["name"]
         prefix = next((p for p in BENCH_PREFIXES if name.startswith(p)), None)
         if prefix is None:

@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "src/trace/codec.h"
@@ -55,10 +57,19 @@ int main(int argc, char** argv) {
       }
       out = std::atoi(argv[++i]);
     };
+    // A client count of zero or less is rejected here, before anything is
+    // generated, as sprite_analyze does.
+    auto next_positive = [&](int& out) {
+      next_int(out);
+      if (out <= 0) {
+        std::fprintf(stderr, "%s must be positive, got %s\n", arg.c_str(), argv[i]);
+        std::exit(2);
+      }
+    };
     if (arg == "--users") {
       next_int(users);
     } else if (arg == "--clients") {
-      next_int(clients);
+      next_positive(clients);
     } else if (arg == "--servers") {
       next_int(servers);
     } else if (arg == "--minutes") {
@@ -107,10 +118,16 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "generating %d min (+%d warmup) for %d users on %d clients...\n",
                minutes, warmup, users, clients);
-  Generator generator(params, cluster);
+  std::unique_ptr<Generator> generator;
+  try {
+    generator = std::make_unique<Generator>(params, cluster);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bad configuration: %s\n", e.what());
+    return 2;
+  }
   const TraceLog trace =
-      generator.Run(static_cast<SimDuration>(minutes) * kMinute,
-                    static_cast<SimDuration>(warmup) * kMinute);
+      generator->Run(static_cast<SimDuration>(minutes) * kMinute,
+                     static_cast<SimDuration>(warmup) * kMinute);
 
   if (text) {
     std::ofstream out(output);
