@@ -1,20 +1,24 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // substrate: cache operations, the trace codec, the event queue, the
 // distributions, the RPC transport per wire mode, the server's open/close
-// path per consistency policy, and end-to-end workload generation
-// throughput.
+// path per consistency policy, span emission and trace export, and
+// end-to-end workload generation throughput.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <vector>
 
 #include "src/fs/block_cache.h"
 #include "src/fs/rpc.h"
 #include "src/fs/server.h"
+#include "src/obs/tracer.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/codec.h"
 #include "src/util/distributions.h"
@@ -259,6 +263,101 @@ BENCHMARK_CAPTURE(BM_ServerOpenClose, modified_shared,
                   OpenCloseCase{.policy = ConsistencyPolicy::kSpriteModified, .shared = true});
 BENCHMARK_CAPTURE(BM_ServerOpenClose, token_shared,
                   OpenCloseCase{.policy = ConsistencyPolicy::kToken, .shared = true});
+
+// Span emission into a growing log: an RPC-shaped span with six args (the
+// transport's per-call span) or a zero-arg phase span (its wire/backoff
+// children). Each span goes to the next of 40 client tracks, 1-3 ms after
+// the previous one. Every 2^18 spans the tracer is replaced, so the cost
+// of growing the log from empty is part of what is measured while memory
+// stays bounded.
+enum class SpanShape { kRpc6, kPhase0 };
+
+void BM_SpanEmit(benchmark::State& state, SpanShape shape) {
+  static constexpr const char* kRpcNames[] = {"open", "read-block", "write-block", "close",
+                                              "getattr"};
+  static constexpr const char* kPhaseNames[] = {"wire", "backoff", "timeout", "blocked-wait"};
+  constexpr int64_t kSpansPerTracer = int64_t{1} << 18;
+  auto tracer = std::make_unique<SpanTracer>();
+  SimTime now = 0;
+  int64_t i = 0;
+  for (auto _ : state) {
+    const SpanTrack track = ClientTrack(i % 40);
+    now += kMillisecond + (i * 7919) % (2 * kMillisecond);
+    if (shape == SpanShape::kRpc6) {
+      tracer->Emit(kRpcNames[i % std::size(kRpcNames)], "rpc", track, now, 1200 + i % 900,
+                   {{"server", i & 1},
+                    {"bytes", (i & 3) == 0 ? 0 : 4096},
+                    {"retries", 0},
+                    {"timeouts", 0},
+                    {"net_us", 800 + i % 300},
+                    {"wait_us", i % 5000}});
+    } else {
+      tracer->Emit(kPhaseNames[i % std::size(kPhaseNames)], "rpc.phase", track, now,
+                   i % 900);
+    }
+    benchmark::ClobberMemory();
+    if (++i % kSpansPerTracer == 0) {
+      tracer = std::make_unique<SpanTracer>();
+    }
+  }
+  benchmark::DoNotOptimize(tracer->spans().size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SpanEmit, rpc6, SpanShape::kRpc6);
+BENCHMARK_CAPTURE(BM_SpanEmit, phase0, SpanShape::kPhase0);
+
+// Counts what the export writes and keeps none of it.
+class DiscardBuf : public std::streambuf {
+ public:
+  int64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += n;
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  int64_t bytes_ = 0;
+};
+
+// Chrome trace-event export of 100,000 spans (one RPC span with six args
+// followed by one phase span, alternating) plus ten named processes, into
+// a stream that discards its input.
+void BM_ChromeTraceExport(benchmark::State& state) {
+  constexpr int64_t kPairs = 50000;
+  SpanTracer tracer;
+  for (int64_t c = 0; c < 10; ++c) {
+    tracer.SetProcessName(ClientTrack(c).pid, "client " + std::to_string(c));
+  }
+  SimTime now = 0;
+  for (int64_t i = 0; i < kPairs; ++i) {
+    now += kMillisecond + (i * 7919) % (2 * kMillisecond);
+    tracer.Emit("read-block", "rpc", ClientTrack(i % 10), now, 1200 + i % 900,
+                {{"server", i & 1},
+                 {"bytes", 4096},
+                 {"retries", 0},
+                 {"timeouts", 0},
+                 {"net_us", 800 + i % 300},
+                 {"wait_us", i % 5000}});
+    tracer.Emit("wire", "rpc.phase", ClientTrack(i % 10), now + i % 400, 800 + i % 300);
+  }
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    DiscardBuf buf;
+    std::ostream out(&buf);
+    tracer.WriteChromeTrace(out);
+    benchmark::DoNotOptimize(buf.bytes());
+    bytes += buf.bytes();
+  }
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(state.iterations() * 2 * kPairs);
+}
+BENCHMARK(BM_ChromeTraceExport)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(10000, 0.8);

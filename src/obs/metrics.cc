@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace sprite {
 
@@ -66,8 +67,8 @@ void MetricsRegistry::ForEachLatency(
   }
 }
 
-void MetricsRegistry::RecordSnapshot(SimTime now) {
-  history_.push_back(Snapshot(now));
+void MetricsRegistry::RecordSnapshot(MetricsSnapshot snapshot) {
+  history_.push_back(std::move(snapshot));
   if (history_limit_ > 0 && history_.size() > history_limit_) {
     history_.erase(history_.begin());
   }

@@ -124,10 +124,11 @@ class MetricsRegistry {
   // Reads every instrument now. Samples are ordered: counters, gauges,
   // latencies, each in registration order.
   MetricsSnapshot Snapshot(SimTime now) const;
-  // Takes a snapshot and appends it to the retained history (the periodic
-  // collector daemon calls this). When a history limit is set, the oldest
-  // snapshot is evicted once the limit is exceeded.
-  void RecordSnapshot(SimTime now);
+  // Appends a snapshot to the retained history (the periodic collector
+  // daemon calls this); the SimTime form takes it now. When a history limit
+  // is set, the oldest snapshot is evicted once the limit is exceeded.
+  void RecordSnapshot(MetricsSnapshot snapshot);
+  void RecordSnapshot(SimTime now) { RecordSnapshot(Snapshot(now)); }
   const std::vector<MetricsSnapshot>& history() const { return history_; }
 
   // Bounds the retained snapshot history (0 = unbounded, the default).

@@ -18,6 +18,7 @@
 #define SPRITE_DFS_SRC_OBS_OBSERVABILITY_H_
 
 #include <cstddef>
+#include <utility>
 
 #include "src/obs/criticalpath.h"
 #include "src/obs/metrics.h"
@@ -93,10 +94,12 @@ class Observability {
   const CriticalPathCollector& critical_path() const { return critical_path_; }
 
   // Records one snapshot + one windowed-series capture at `now` (the
-  // periodic collector daemon and the end-of-run finalizer call this).
+  // periodic collector daemon and the end-of-run finalizer call this). Both
+  // take the same registry snapshot, so every gauge is read once a window.
   void CaptureWindow(SimTime now, bool final_partial = false) {
-    metrics_.RecordSnapshot(now);
-    series_.Capture(now, final_partial);
+    MetricsSnapshot snapshot = metrics_.Snapshot(now);
+    series_.Capture(snapshot, final_partial);
+    metrics_.RecordSnapshot(std::move(snapshot));
   }
 
   // Discards recorded spans, counter values, snapshot history, windows, and

@@ -18,7 +18,8 @@ const WindowSample* MetricsWindow::Find(const std::string& name) const {
 MetricsTimeSeries::MetricsTimeSeries(const MetricsRegistry* registry, size_t capacity)
     : registry_(registry), capacity_(std::max<size_t>(1, capacity)) {}
 
-void MetricsTimeSeries::Capture(SimTime now, bool final_partial) {
+void MetricsTimeSeries::Capture(const MetricsSnapshot& snapshot, bool final_partial) {
+  const SimTime now = snapshot.time;
   MetricsWindow window;
   window.seq = captured_;
   window.start = last_time_;
@@ -28,7 +29,6 @@ void MetricsTimeSeries::Capture(SimTime now, bool final_partial) {
   const SimDuration span = now - last_time_;
   const double seconds = span > 0 ? ToSeconds(span) : 0.0;
 
-  const MetricsSnapshot snapshot = registry_->Snapshot(now);
   window.samples.reserve(snapshot.samples.size());
   for (const MetricSample& s : snapshot.samples) {
     WindowSample w;

@@ -76,8 +76,13 @@ class MetricsTimeSeries {
   MetricsTimeSeries(const MetricsTimeSeries&) = delete;
   MetricsTimeSeries& operator=(const MetricsTimeSeries&) = delete;
 
-  // Closes the window [last capture, now] and appends it to the ring.
-  void Capture(SimTime now, bool final_partial = false);
+  // Closes the window [last capture, snapshot.time] over `snapshot`, which
+  // must be of this series' registry, and appends it to the ring. The
+  // SimTime form takes the snapshot itself.
+  void Capture(const MetricsSnapshot& snapshot, bool final_partial = false);
+  void Capture(SimTime now, bool final_partial = false) {
+    Capture(registry_->Snapshot(now), final_partial);
+  }
 
   size_t size() const { return windows_.size(); }
   size_t capacity() const { return capacity_; }

@@ -49,7 +49,7 @@ ObsRun RunObserved(bool metrics = true, bool tracing = true) {
   run.ledger = generator.cluster().rpc_ledger();
   const Observability* obs = generator.cluster().observability();
   if (obs != nullptr) {
-    run.spans = obs->tracer().spans();
+    run.spans.assign(obs->tracer().spans().begin(), obs->tracer().spans().end());
     run.history = obs->metrics().history();
     run.final_snapshot = obs->metrics().Snapshot(generator.queue().now());
   }

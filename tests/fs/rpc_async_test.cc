@@ -221,11 +221,15 @@ TEST(RpcAsyncClusterTest, SameSeedAsyncRunsAreIdentical) {
   const TraceLog trace_b = b.Run(10 * kMinute, /*warmup=*/2 * kMinute);
   EXPECT_EQ(trace_a, trace_b);
   EXPECT_EQ(a.cluster().rpc_ledger(), b.cluster().rpc_ledger());
-  const auto& spans_a = a.cluster().observability()->tracer().spans();
-  const auto& spans_b = b.cluster().observability()->tracer().spans();
+  const auto spans_a = a.cluster().observability()->tracer().spans();
+  const auto spans_b = b.cluster().observability()->tracer().spans();
   ASSERT_EQ(spans_a.size(), spans_b.size());
-  for (size_t i = 0; i < spans_a.size(); ++i) {
-    ASSERT_TRUE(spans_a[i] == spans_b[i]) << "span " << i << " differs";
+  auto it_b = spans_b.begin();
+  size_t i = 0;
+  for (const Span& span_a : spans_a) {
+    ASSERT_TRUE(span_a == *it_b) << "span " << i << " differs";
+    ++it_b;
+    ++i;
   }
 }
 

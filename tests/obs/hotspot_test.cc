@@ -192,8 +192,9 @@ TEST(HotspotDetectorTest, EmitsCountersAndSpanThroughObservability) {
   EXPECT_TRUE(obs.tracer().spans().empty());
   det.Finalize();
   ASSERT_EQ(obs.tracer().spans().size(), 1u);
-  EXPECT_STREQ(obs.tracer().spans()[0].name, "hotspot");
-  EXPECT_EQ(obs.tracer().spans()[0].track.pid, ServerTrack(0).pid);
+  const Span span = *obs.tracer().spans().begin();
+  EXPECT_STREQ(span.name, "hotspot");
+  EXPECT_EQ(span.track.pid, ServerTrack(0).pid);
   ASSERT_NE(obs.metrics().FindCounter("hotspot.windows_flagged"), nullptr);
   EXPECT_EQ(obs.metrics().FindCounter("hotspot.windows_flagged")->value(), 4);
   EXPECT_EQ(obs.metrics().FindCounter("hotspot.episodes")->value(), 1);
