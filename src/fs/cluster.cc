@@ -199,9 +199,9 @@ void Cluster::StartDaemons(SimDuration sample_period) {
               CacheSizeSample{now, client->id(), client->cache_size_bytes()});
         }
       }));
-  // Metrics collector daemon: snapshots the whole registry on the configured
-  // period (the paper's user-level counter poller). Snapshotting only reads
-  // state, so the extra events never perturb the simulation.
+  // Metrics collector daemon: captures a window of the whole registry on the
+  // configured period (the paper's user-level counter poller). Capturing only
+  // reads state, so the extra events never perturb the simulation.
   if (obs_ != nullptr && obs_->metrics_enabled() &&
       config_.observability.snapshot_interval > 0) {
     const SimDuration interval = config_.observability.snapshot_interval;
@@ -224,31 +224,27 @@ void Cluster::CaptureMetricsWindow(SimTime now, bool final_partial) {
   if (obs_ == nullptr || !obs_->metrics_enabled()) {
     return;
   }
-  obs_->CaptureWindow(now, final_partial);
+  const MetricsWindow& w = obs_->metrics().Capture(now, final_partial);
   if (hotspot_ == nullptr) {
     return;
   }
   // Feed the detector the window that was just captured. Signals index by
   // server id; a missing sample (metric not registered, e.g. sync mode has
   // no queue recorders) reads as zero and can never flag.
-  const MetricsWindow* w = obs_->series().latest();
-  if (w == nullptr) {
-    return;
-  }
   std::vector<HotspotSignal> signals(servers_.size());
   for (size_t s = 0; s < servers_.size(); ++s) {
     const std::string prefix = "server." + std::to_string(s) + ".";
-    if (const WindowSample* q = w->Find(prefix + "queue_us")) {
+    if (const WindowSample* q = w.Find(prefix + "queue_us")) {
       signals[s].queue_p99 = q->win_p99;
     }
-    if (const WindowSample* d = w->Find(prefix + "queue_depth")) {
+    if (const WindowSample* d = w.Find(prefix + "queue_depth")) {
       signals[s].queue_depth = d->value;
     }
-    if (const WindowSample* h = w->Find(prefix + "bytes_homed")) {
+    if (const WindowSample* h = w.Find(prefix + "bytes_homed")) {
       signals[s].bytes_homed = h->value;
     }
   }
-  hotspot_->Observe(w->start, w->end, signals);
+  hotspot_->Observe(w.start, w.end, signals);
   if (rebalancer_ != nullptr) {
     // React to episodes the window just opened/closed. Migrations execute
     // atomically at the window boundary (one sim instant), charging their
@@ -264,7 +260,7 @@ void Cluster::FinalizeObservability() {
       config_.observability.snapshot_interval <= 0) {
     return;
   }
-  // RunUntil's inclusive deadline already fired the boundary snapshot when
+  // RunUntil's inclusive deadline already fired the boundary capture when
   // the run length divides evenly; only a trailing partial window is left.
   if (obs_->series().last_capture_time() < queue_.now()) {
     CaptureMetricsWindow(queue_.now(), /*final_partial=*/true);

@@ -72,10 +72,10 @@ class Cluster : private RebalanceHost {
   Observability* observability() { return obs_.get(); }
   const Observability* observability() const { return obs_.get(); }
 
-  // Captures one metrics window (registry snapshot + time-series delta) and
-  // feeds the hot-spot detector the per-server signals from the new window.
-  // No-op when metrics are disabled. Called by the snapshot daemon on its
-  // period and by FinalizeObservability for the trailing partial window.
+  // Captures one metrics window (MetricsRegistry::Capture) and feeds the
+  // hot-spot detector the per-server signals from it. No-op when metrics
+  // are disabled. Called by the collector daemon on its period and by
+  // FinalizeObservability for the trailing partial window.
   void CaptureMetricsWindow(SimTime now, bool final_partial = false);
 
   // End-of-run hook: captures the final partial window if the run length was

@@ -79,6 +79,9 @@ class StaleDataTracker {
   // the (client, file) pair is flagged.
   void NoteCachedRead(ClientId client, FileId file, SimTime now);
 
+  // Whether the (client, file) pair is flagged stale. No production caller:
+  // RecoveryTest.PartitionDropsCallbacksAndFlagsStaleReads probes the flag
+  // through it.
   bool IsFlagged(ClientId client, FileId file) const {
     return flagged_.count({client, file}) != 0;
   }

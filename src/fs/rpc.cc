@@ -797,7 +797,7 @@ RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_conf
   for (const Record& r : trace) {
     if (next_snapshot > 0) {
       while (r.time >= next_snapshot) {
-        obs->metrics().RecordSnapshot(next_snapshot);
+        obs->metrics().Capture(next_snapshot);
         next_snapshot += snapshot_interval;
       }
     }
@@ -834,6 +834,9 @@ RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_conf
       case RecordKind::kFsync:
         break;  // no data RPC of their own
     }
+  }
+  if (metrics && !trace.empty()) {
+    obs->metrics().Capture(trace.back().time, /*final_partial=*/true);
   }
   return ledger;
 }

@@ -205,14 +205,6 @@ class RpcTransport {
   // DROPPED (recorded in the stale tracker), so the client's cache silently
   // goes stale.
   void SetPartition(ClientId client, ServerId server, SimTime from, SimTime until);
-  // Removes injected outages and partitions. Epoch bookkeeping survives:
-  // epochs are server identity, not a fault.
-  void ClearFaults() {
-    outages_.clear();
-    partitions_.clear();
-    outage_count_ = 0;
-    partition_count_ = 0;
-  }
 
   // Runs a client's reopen storm against one rebooted server; returns the
   // simulated duration of the storm (Client::ReplayOpens, registered by the
@@ -424,8 +416,10 @@ ServerCounters ServerTrafficFromLedger(const RpcLedger& ledger);
 // When `obs` is non-null the replay also feeds it: per-kind latency
 // recorders (one Record per reconstructed call) and, with tracing enabled,
 // one span per record-level RPC batch at the record's timestamp. With
-// metrics enabled and `snapshot_interval` > 0 the registry is snapshotted
-// on that period of trace time, mimicking the live collector daemon.
+// metrics enabled the registry captures a window on every `snapshot_interval`
+// (when > 0) of trace time, mimicking the live collector daemon, and a
+// final_partial window at the last record's time, so the windows' deltas
+// cover every replayed call.
 // Paging RPCs never appear in kernel-call traces, so replayed spans cover
 // only the trace-visible kinds; use a live run for full coverage.
 RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_config = {},

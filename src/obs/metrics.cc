@@ -1,7 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 namespace sprite {
@@ -28,20 +27,26 @@ void LatencyRecorder::Reset() {
   hist_.Reset();
 }
 
+MetricsRegistry::LatencyEntry::LatencyEntry(std::string name, double min_us, double max_us,
+                                            double log_base)
+    : name(std::move(name)),
+      recorder(min_us, max_us, log_base),
+      base_hist(recorder.histogram()) {}
+
 Counter* MetricsRegistry::AddCounter(const std::string& name) {
   for (const auto& entry : counters_) {
     if (entry->name == name) {
-      return &entry->instrument;
+      return &entry->counter;
     }
   }
-  counters_.push_back(std::make_unique<Named<Counter>>(Named<Counter>{name, Counter{}}));
-  return &counters_.back()->instrument;
+  counters_.push_back(std::make_unique<CounterEntry>(CounterEntry{name, Counter{}}));
+  return &counters_.back()->counter;
 }
 
 void MetricsRegistry::AddGauge(const std::string& name, std::function<int64_t()> read) {
   for (auto& entry : gauges_) {
     if (entry.name == name) {
-      entry.instrument = std::move(read);
+      entry.read = std::move(read);
       return;
     }
   }
@@ -52,32 +57,17 @@ LatencyRecorder* MetricsRegistry::AddLatency(const std::string& name, double min
                                              double max_us, double base) {
   for (const auto& entry : latencies_) {
     if (entry->name == name) {
-      return &entry->instrument;
+      return &entry->recorder;
     }
   }
-  latencies_.push_back(std::make_unique<Named<LatencyRecorder>>(
-      Named<LatencyRecorder>{name, LatencyRecorder(min_us, max_us, base)}));
-  return &latencies_.back()->instrument;
-}
-
-void MetricsRegistry::ForEachLatency(
-    const std::function<void(const std::string&, const LatencyRecorder&)>& fn) const {
-  for (const auto& entry : latencies_) {
-    fn(entry->name, entry->instrument);
-  }
-}
-
-void MetricsRegistry::RecordSnapshot(MetricsSnapshot snapshot) {
-  history_.push_back(std::move(snapshot));
-  if (history_limit_ > 0 && history_.size() > history_limit_) {
-    history_.erase(history_.begin());
-  }
+  latencies_.push_back(std::make_unique<LatencyEntry>(name, min_us, max_us, base));
+  return &latencies_.back()->recorder;
 }
 
 const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   for (const auto& entry : counters_) {
     if (entry->name == name) {
-      return &entry->instrument;
+      return &entry->counter;
     }
   }
   return nullptr;
@@ -86,84 +76,82 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
 const LatencyRecorder* MetricsRegistry::FindLatency(const std::string& name) const {
   for (const auto& entry : latencies_) {
     if (entry->name == name) {
-      return &entry->instrument;
+      return &entry->recorder;
     }
   }
   return nullptr;
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot(SimTime now) const {
-  MetricsSnapshot snapshot;
-  snapshot.time = now;
-  snapshot.samples.reserve(instrument_count());
+const MetricsWindow& MetricsRegistry::Capture(SimTime now, bool final_partial) {
+  MetricsWindow window;
+  window.seq = series_.windows_captured();
+  window.start = series_.last_capture_time();
+  window.end = now;
+  window.final_partial = final_partial;
+  const SimDuration span = now - window.start;
+  const double seconds = span > 0 ? ToSeconds(span) : 0.0;
+
+  window.samples.reserve(instrument_count());
   for (const auto& entry : counters_) {
-    MetricSample s;
-    s.name = entry->name;
-    s.kind = MetricSample::Kind::kCounter;
-    s.value = entry->instrument.value();
-    snapshot.samples.push_back(std::move(s));
+    WindowSample& w = window.samples.emplace_back();
+    w.name = entry->name;
+    w.kind = WindowSample::Kind::kCounter;
+    w.value = entry->counter.value();
+    w.delta = w.value - entry->base;
+    w.rate_per_sec = seconds > 0.0 ? static_cast<double>(w.delta) / seconds : 0.0;
+    entry->base = w.value;
   }
-  for (const auto& entry : gauges_) {
-    MetricSample s;
-    s.name = entry.name;
-    s.kind = MetricSample::Kind::kGauge;
-    s.value = entry.instrument ? entry.instrument() : 0;
-    snapshot.samples.push_back(std::move(s));
+  for (auto& entry : gauges_) {
+    WindowSample& w = window.samples.emplace_back();
+    w.name = entry.name;
+    w.kind = WindowSample::Kind::kGauge;
+    w.value = entry.read ? entry.read() : 0;
+    w.delta = w.value - entry.base;
+    entry.base = w.value;
   }
   for (const auto& entry : latencies_) {
-    const LatencyRecorder& rec = entry->instrument;
-    MetricSample s;
-    s.name = entry->name;
-    s.kind = MetricSample::Kind::kLatency;
-    s.count = rec.count();
-    s.total = rec.total();
-    s.p50 = rec.Quantile(0.50);
-    s.p90 = rec.Quantile(0.90);
-    s.p99 = rec.Quantile(0.99);
-    snapshot.samples.push_back(std::move(s));
+    const LatencyRecorder& rec = entry->recorder;
+    WindowSample& w = window.samples.emplace_back();
+    w.name = entry->name;
+    w.kind = WindowSample::Kind::kLatency;
+    w.count = rec.count();
+    w.total = rec.total();
+    w.p50 = rec.Quantile(0.50);
+    w.p90 = rec.Quantile(0.90);
+    w.p99 = rec.Quantile(0.99);
+    w.win_count = w.count - entry->base_count;
+    w.win_total = w.total - entry->base_total;
+    // Windowed percentiles: quantile the bucket state minus the baseline
+    // taken at the previous window boundary.
+    if (w.win_count > 0 && w.win_total > 0) {
+      LogHistogram diff = rec.histogram();
+      diff.Subtract(entry->base_hist);
+      w.win_p50 = static_cast<SimDuration>(std::llround(diff.ApproxQuantile(0.50)));
+      w.win_p90 = static_cast<SimDuration>(std::llround(diff.ApproxQuantile(0.90)));
+      w.win_p99 = static_cast<SimDuration>(std::llround(diff.ApproxQuantile(0.99)));
+    }
+    entry->base_count = w.count;
+    entry->base_total = w.total;
+    entry->base_hist = rec.histogram();
   }
-  return snapshot;
+  return series_.Append(std::move(window));
 }
 
-void MetricsRegistry::Reset() {
+void MetricsRegistry::Reset(SimTime now) {
   for (auto& entry : counters_) {
-    entry->instrument.Reset();
+    entry->counter.Reset();
+    entry->base = 0;
+  }
+  for (auto& entry : gauges_) {
+    entry.base = 0;
   }
   for (auto& entry : latencies_) {
-    entry->instrument.Reset();
+    entry->recorder.Reset();
+    entry->base_count = 0;
+    entry->base_total = 0;
+    entry->base_hist.Reset();
   }
-  history_.clear();
-}
-
-std::string FormatMetricsSnapshot(const MetricsSnapshot& snapshot) {
-  std::string out = "# sprite-metrics v1\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "snapshot t_us=%lld\n",
-                static_cast<long long>(snapshot.time));
-  out += buf;
-  for (const MetricSample& s : snapshot.samples) {
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        std::snprintf(buf, sizeof(buf), "counter %s %lld\n", s.name.c_str(),
-                      static_cast<long long>(s.value));
-        break;
-      case MetricSample::Kind::kGauge:
-        std::snprintf(buf, sizeof(buf), "gauge %s %lld\n", s.name.c_str(),
-                      static_cast<long long>(s.value));
-        break;
-      case MetricSample::Kind::kLatency:
-        std::snprintf(buf, sizeof(buf),
-                      "latency %s count=%lld total_us=%lld p50_us=%lld p90_us=%lld "
-                      "p99_us=%lld\n",
-                      s.name.c_str(), static_cast<long long>(s.count),
-                      static_cast<long long>(s.total), static_cast<long long>(s.p50),
-                      static_cast<long long>(s.p90), static_cast<long long>(s.p99));
-        break;
-    }
-    out += buf;
-  }
-  out += "end\n";
-  return out;
+  series_.Reset(now);
 }
 
 }  // namespace sprite

@@ -1,5 +1,6 @@
-// Observability facade: one MetricsRegistry plus one SpanTracer, owned by
-// the Cluster and shared by every instrumented component.
+// Observability facade: one MetricsRegistry (with its window series) plus
+// one SpanTracer and one CriticalPathCollector, owned by the Cluster and
+// shared by every instrumented component.
 //
 // Components hold a raw `Observability*` that is null when observability is
 // disabled, so the per-operation cost of the instrumentation is a single
@@ -16,9 +17,6 @@
 
 #ifndef SPRITE_DFS_SRC_OBS_OBSERVABILITY_H_
 #define SPRITE_DFS_SRC_OBS_OBSERVABILITY_H_
-
-#include <cstddef>
-#include <utility>
 
 #include "src/obs/criticalpath.h"
 #include "src/obs/metrics.h"
@@ -51,8 +49,8 @@ struct ObservabilityConfig {
   bool metrics = false;
   // Enables span emission (Chrome trace-event export).
   bool tracing = false;
-  // When > 0 and metrics are enabled, the cluster snapshots the registry on
-  // this sim-time period (the paper's user-level counter poller).
+  // When > 0 and metrics are enabled, the cluster captures a registry window
+  // on this sim-time period (the paper's user-level counter poller).
   SimDuration snapshot_interval = 0;
   // Enables per-op critical-path attribution (src/obs/criticalpath.h).
   bool critical_path = false;
@@ -60,17 +58,13 @@ struct ObservabilityConfig {
   // interval to produce windows).
   bool hotspot = false;
   HotspotConfig hotspot_rules;
-  // Ring capacity for the retained snapshot history and windowed series.
-  size_t history_windows = 512;
 
   bool enabled() const { return metrics || tracing || critical_path; }
 };
 
 class Observability {
  public:
-  explicit Observability(const ObservabilityConfig& config)
-      : config_(config), series_(&metrics_, config.history_windows) {
-    metrics_.SetHistoryLimit(config.history_windows);
+  explicit Observability(const ObservabilityConfig& config) : config_(config) {
     if (config_.critical_path && config_.tracing) {
       critical_path_.SetTracer(&tracer_);
     }
@@ -88,28 +82,17 @@ class Observability {
   const MetricsRegistry& metrics() const { return metrics_; }
   SpanTracer& tracer() { return tracer_; }
   const SpanTracer& tracer() const { return tracer_; }
-  MetricsTimeSeries& series() { return series_; }
-  const MetricsTimeSeries& series() const { return series_; }
+  // The registry's captured windows.
+  const MetricsTimeSeries& series() const { return metrics_.series(); }
   CriticalPathCollector& critical_path() { return critical_path_; }
   const CriticalPathCollector& critical_path() const { return critical_path_; }
 
-  // Records one snapshot + one windowed-series capture at `now` (the
-  // periodic collector daemon and the end-of-run finalizer call this). Both
-  // take the same registry snapshot, so every gauge is read once a window.
-  void CaptureWindow(SimTime now, bool final_partial = false) {
-    MetricsSnapshot snapshot = metrics_.Snapshot(now);
-    series_.Capture(snapshot, final_partial);
-    metrics_.RecordSnapshot(std::move(snapshot));
-  }
-
-  // Discards recorded spans, counter values, snapshot history, windows, and
-  // critical-path totals (e.g. at the end of a warmup window); the series
-  // re-baselines at `now`. Registered instruments and track names are
-  // wiring and survive.
+  // Discards recorded spans, counter values, windows, and critical-path
+  // totals (e.g. at the end of a warmup window); the next window starts at
+  // `now`. Registered instruments and track names are wiring and survive.
   void Reset(SimTime now = 0) {
-    metrics_.Reset();
+    metrics_.Reset(now);
     tracer_.Reset();
-    series_.Reset(now);
     critical_path_.Reset();
   }
 
@@ -117,7 +100,6 @@ class Observability {
   ObservabilityConfig config_;
   MetricsRegistry metrics_;
   SpanTracer tracer_;
-  MetricsTimeSeries series_;
   CriticalPathCollector critical_path_;
 };
 

@@ -2,12 +2,14 @@
 //
 // The paper's collector polled ~50 kernel counters per workstation on an
 // interval for two weeks; the interesting numbers were the *differences*
-// between polls, not the run-cumulative totals. MetricsTimeSeries is that
-// layer: on every periodic snapshot it diffs each registered instrument
-// against the previous capture and retains a bounded ring of per-window
-// records — counter deltas and rates, gauge deltas, and windowed latency
-// percentiles computed by subtracting the previous histogram bucket state
-// (LogHistogram::Subtract) from the current one.
+// between polls, not the run-cumulative totals. MetricsTimeSeries is the
+// ring those polls land in: MetricsRegistry::Capture (src/obs/metrics.h)
+// diffs each registered instrument against its previous capture and
+// appends one MetricsWindow — counter deltas and rates, gauge deltas, and
+// windowed latency percentiles computed by subtracting the previous
+// histogram bucket state (LogHistogram::Subtract) from the current one.
+// The registry owns the only series; it retains the newest kCapacity
+// windows and counts the ones it evicts.
 //
 // Windows render in a line-oriented format (DESIGN.md "Observability v2"):
 //
@@ -25,22 +27,22 @@
 #ifndef SPRITE_DFS_SRC_OBS_TIMESERIES_H_
 #define SPRITE_DFS_SRC_OBS_TIMESERIES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/util/units.h"
 
 namespace sprite {
 
 // One instrument inside one window.
 struct WindowSample {
+  enum class Kind { kCounter, kGauge, kLatency };
+
   std::string name;
-  MetricSample::Kind kind = MetricSample::Kind::kCounter;
+  Kind kind = Kind::kCounter;
   int64_t value = 0;        // counter cumulative / gauge value at window end
   int64_t delta = 0;        // change over the window (counters and gauges)
   double rate_per_sec = 0;  // counters only: delta / window length
@@ -63,6 +65,7 @@ struct MetricsWindow {
   SimTime start = 0;
   SimTime end = 0;
   bool final_partial = false;  // end-of-run capture off the periodic grid
+  // Counters, gauges, latencies, each in registration order.
   std::vector<WindowSample> samples;
 
   // Lookup by instrument name; null when absent.
@@ -71,21 +74,13 @@ struct MetricsWindow {
 
 class MetricsTimeSeries {
  public:
-  // Retains at most `capacity` windows (>= 1); older windows are evicted.
-  MetricsTimeSeries(const MetricsRegistry* registry, size_t capacity);
+  // Windows retained; older ones are evicted.
+  static constexpr size_t kCapacity = 512;
+
   MetricsTimeSeries(const MetricsTimeSeries&) = delete;
   MetricsTimeSeries& operator=(const MetricsTimeSeries&) = delete;
 
-  // Closes the window [last capture, snapshot.time] over `snapshot`, which
-  // must be of this series' registry, and appends it to the ring. The
-  // SimTime form takes the snapshot itself.
-  void Capture(const MetricsSnapshot& snapshot, bool final_partial = false);
-  void Capture(SimTime now, bool final_partial = false) {
-    Capture(registry_->Snapshot(now), final_partial);
-  }
-
   size_t size() const { return windows_.size(); }
-  size_t capacity() const { return capacity_; }
   // Retained windows, oldest first.
   const MetricsWindow& window(size_t i) const { return windows_[i]; }
   const MetricsWindow* latest() const {
@@ -94,24 +89,19 @@ class MetricsTimeSeries {
 
   int64_t windows_captured() const { return captured_; }
   int64_t windows_evicted() const { return evicted_; }
+  // Where the next window starts.
   SimTime last_capture_time() const { return last_time_; }
 
-  // Drops all windows and re-baselines every instrument at `now`; the next
-  // window starts there. Used to discard a warmup window.
+ private:
+  // Only the registry fills and clears its series.
+  friend class MetricsRegistry;
+  MetricsTimeSeries() = default;
+
+  const MetricsWindow& Append(MetricsWindow window);
+  // Drops all windows; the next one starts at `now`.
   void Reset(SimTime now);
 
- private:
-  struct Baseline {
-    int64_t value = 0;  // counter / gauge
-    int64_t count = 0;  // latency
-    SimDuration total = 0;
-    std::unique_ptr<LogHistogram> hist;  // latency bucket state at last capture
-  };
-
-  const MetricsRegistry* registry_;
-  size_t capacity_;
   std::deque<MetricsWindow> windows_;
-  std::map<std::string, Baseline> baselines_;
   SimTime last_time_ = 0;
   int64_t captured_ = 0;
   int64_t evicted_ = 0;

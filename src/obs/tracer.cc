@@ -302,9 +302,11 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
   }
 
   if (metrics != nullptr) {
-    for (const MetricsSnapshot& snapshot : metrics->history()) {
-      for (const MetricSample& s : snapshot.samples) {
-        if (s.kind == MetricSample::Kind::kLatency) {
+    const MetricsTimeSeries& series = metrics->series();
+    for (size_t i = 0; i < series.size(); ++i) {
+      const MetricsWindow& window = series.window(i);
+      for (const WindowSample& s : window.samples) {
+        if (s.kind == WindowSample::Kind::kLatency) {
           continue;  // distributions do not render as counter tracks
         }
         std::string& e = events.Next();
@@ -313,13 +315,13 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
         e += "\",\"pid\":";
         AppendInt(e, CounterTrackPid(s.name));
         e += ",\"tid\":0,\"ts\":";
-        AppendInt(e, snapshot.time);
+        AppendInt(e, window.end);
         e += ",\"args\":{\"value\":";
         AppendInt(e, s.value);
         e += "}}";
       }
     }
-    if (!metrics->history().empty()) {
+    if (series.size() > 0) {
       std::string& e = events.Next();
       e += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
       AppendInt(e, kMetricsPid);

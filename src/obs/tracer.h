@@ -129,9 +129,10 @@ class SpanTracer {
   void Reset();
 
   // Writes the full trace as Chrome trace-event JSON. When `metrics` is
-  // non-null, every retained snapshot's counters and gauges are exported as
-  // "C" (counter) events on a synthetic metrics process, so Perfetto plots
-  // them as counter tracks alongside the spans.
+  // non-null, every retained window's counters and gauges are exported as
+  // "C" (counter) events at the window's end, on the owning machine's
+  // process or a synthetic metrics process (CounterTrackPid), so Perfetto
+  // plots them as counter tracks alongside the spans.
   void WriteChromeTrace(std::ostream& out, const MetricsRegistry* metrics = nullptr) const;
 
  private:

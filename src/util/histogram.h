@@ -35,6 +35,9 @@ class LogHistogram {
 
   // Upper bound of bucket `i` (inclusive for reporting purposes).
   double BucketUpperBound(size_t i) const;
+  // Weight in bucket `i`. No production caller: histogram_test's bucket,
+  // Merge and Subtract cases (e.g. SubtractRemovesBaselineBucketwise) read
+  // it, and the windowed percentiles rest on Subtract.
   double BucketWeight(size_t i) const { return counts_[i]; }
 
   // Cumulative fraction of weight at or below the upper bound of bucket i.

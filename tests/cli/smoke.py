@@ -193,6 +193,11 @@ CASES = {
             ("analyze", "zero-metrics-interval", f"{SIM} --metrics --metrics-interval 0",
              "--metrics-interval must be positive, got 0"),
             ("analyze", "async-replay", "--async $dir/none.trace", "--async requires --simulate"),
+            ("analyze", "metrics-out-no-stream", f"{SIM} --rpc-ledger --metrics-out $metrics",
+             "--metrics-out writes no stream without --metrics, --metrics-interval, "
+             "--critical-path, --hotspot-report or --rebalance"),
+            ("analyze", "metrics-out-no-stream-replay", "--metrics-out $metrics $dir/none.trace",
+             "--metrics-out writes no stream without"),
             ("tracegen", "gen-zero-clients", f"{SHAPE} --clients 0 $dir/none.trace",
              "--clients must be positive, got 0"),
             ("tracegen", "gen-negative-clients", f"{SHAPE} --clients -3 $dir/none.trace",
@@ -209,8 +214,11 @@ CASES = {
             has={"stdout": [LEDGER + " (replayed"]}),
         Run("text", "--text --rpc-ledger --metrics --metrics-out $metrics --trace-out $trace "
                     "$dir/trace.txt", same_as="binary",
+            has={"metrics": ["# sprite-metrics v2", "final_partial=1"]},
+            lacks={"metrics": r"sprite-metrics v(?!2)"},
             spans=[Span(kind, cat="rpc.replay")
-                   for kind in ("open", "close", "read-block", "write-block")]),
+                   for kind in ("open", "close", "read-block", "write-block")],
+            tracks={"rpc.calls": {9999}}),
     ],
 }
 

@@ -38,8 +38,8 @@ struct ObsRun {
   TraceLog trace;
   RpcLedger ledger;
   std::vector<Span> spans;
-  std::vector<MetricsSnapshot> history;
-  MetricsSnapshot final_snapshot;
+  std::vector<MetricsWindow> windows;
+  std::string windows_text;  // every window in FormatMetricsWindow's format
 };
 
 ObsRun RunObserved(bool metrics = true, bool tracing = true) {
@@ -50,8 +50,10 @@ ObsRun RunObserved(bool metrics = true, bool tracing = true) {
   const Observability* obs = generator.cluster().observability();
   if (obs != nullptr) {
     run.spans.assign(obs->tracer().spans().begin(), obs->tracer().spans().end());
-    run.history = obs->metrics().history();
-    run.final_snapshot = obs->metrics().Snapshot(generator.queue().now());
+    for (size_t i = 0; i < obs->series().size(); ++i) {
+      run.windows.push_back(obs->series().window(i));
+      run.windows_text += FormatMetricsWindow(obs->series().window(i));
+    }
   }
   return run;
 }
@@ -65,8 +67,8 @@ TEST(ObservabilityTest, SameSeedRunsProduceIdenticalStreams) {
   for (size_t i = 0; i < a.spans.size(); ++i) {
     ASSERT_TRUE(a.spans[i] == b.spans[i]) << "span " << i << " differs";
   }
-  EXPECT_EQ(a.history, b.history);
-  EXPECT_EQ(a.final_snapshot.samples, b.final_snapshot.samples);
+  ASSERT_FALSE(a.windows.empty());
+  EXPECT_EQ(a.windows_text, b.windows_text);
 }
 
 TEST(ObservabilityTest, InstrumentationDoesNotPerturbTheSimulation) {
@@ -138,24 +140,43 @@ TEST(ObservabilityTest, LatencyRecordersAgreeWithLedgerTotals) {
 
 TEST(ObservabilityTest, PeriodicSnapshotsCoverTheMeasuredWindow) {
   const ObsRun run = RunObserved(/*metrics=*/true, /*tracing=*/false);
-  // Warmup snapshots are discarded with the warmup counters; the measured
-  // 10-minute window then snapshots every simulated minute.
-  ASSERT_GE(run.history.size(), 8u);
-  for (size_t i = 1; i < run.history.size(); ++i) {
-    EXPECT_EQ(run.history[i].time - run.history[i - 1].time, kMinute);
+  // Warmup windows are discarded with the warmup counters; the measured
+  // 10-minute window then captures every simulated minute.
+  ASSERT_GE(run.windows.size(), 8u);
+  for (size_t i = 1; i < run.windows.size(); ++i) {
+    EXPECT_EQ(run.windows[i].end - run.windows[i - 1].end, kMinute);
+    EXPECT_EQ(run.windows[i].start, run.windows[i - 1].end);
   }
-  // Cluster-registered instruments all appear in a snapshot.
-  bool saw_queue_gauge = false;
-  bool saw_rpc_latency = false;
-  bool saw_cache_counter = false;
-  for (const MetricSample& s : run.final_snapshot.samples) {
-    saw_queue_gauge |= s.name == "sim.queue.dispatched";
-    saw_rpc_latency |= s.name == "rpc.read-block.latency_us";
-    saw_cache_counter |= s.name == "cache.miss_fills";
+  // Cluster-registered instruments all appear in a window.
+  const MetricsWindow& last = run.windows.back();
+  EXPECT_NE(last.Find("sim.queue.dispatched"), nullptr);
+  EXPECT_NE(last.Find("rpc.read-block.latency_us"), nullptr);
+  EXPECT_NE(last.Find("cache.miss_fills"), nullptr);
+}
+
+TEST(ObservabilityTest, ReplayedWindowsCoverEveryCall) {
+  Generator generator(QuickParams(), ObsCluster(/*metrics=*/false, /*tracing=*/false));
+  const TraceLog trace = generator.Run(10 * kMinute + 30 * kSecond, /*warmup=*/2 * kMinute);
+  ASSERT_FALSE(trace.empty());
+  ObservabilityConfig config;
+  config.metrics = true;
+  Observability obs(config);
+  const RpcLedger ledger = ReplayTraceLedger(trace, NetworkConfig{}, &obs, kMinute);
+  const MetricsTimeSeries& series = obs.series();
+  ASSERT_GT(series.size(), 1u);
+  ASSERT_EQ(series.windows_evicted(), 0);
+  int64_t calls = 0;
+  for (size_t i = 0; i < series.size(); ++i) {
+    const WindowSample* w = series.window(i).Find("rpc.calls");
+    ASSERT_NE(w, nullptr);
+    calls += w->delta;
+    EXPECT_EQ(series.window(i).final_partial, i + 1 == series.size());
   }
-  EXPECT_TRUE(saw_queue_gauge);
-  EXPECT_TRUE(saw_rpc_latency);
-  EXPECT_TRUE(saw_cache_counter);
+  EXPECT_GT(ledger.TotalCalls(), 0);
+  EXPECT_EQ(calls, ledger.TotalCalls());
+  // The last window closes at the last record, off the one-minute grid.
+  EXPECT_NE(trace.back().time % kMinute, 0);
+  EXPECT_EQ(series.latest()->end, trace.back().time);
 }
 
 TEST(ObservabilityTest, FinalPartialWindowOnlyWhenRunLengthNotAMultiple) {

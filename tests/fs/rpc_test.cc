@@ -269,8 +269,6 @@ TEST(RpcFaultTest, CallsOutsideTheOutageAreUnaffected) {
   // A different server is never delayed.
   EXPECT_EQ(transport.Call(RpcKind::kOpen, 0, 1, kControlRpcBytes, kSecond), net);
   EXPECT_EQ(transport.ledger().stat(RpcKind::kOpen).timeouts, 0);
-  transport.ClearFaults();
-  EXPECT_EQ(transport.Call(RpcKind::kOpen, 0, 0, kControlRpcBytes, kSecond), net);
 }
 
 TEST(RpcFaultTest, CallbacksSkipFaultWaits) {
@@ -297,21 +295,6 @@ TEST(RpcFaultTest, FaultWindowsAreHalfOpen) {
   // Callback drops during a partition follow the same convention.
   EXPECT_TRUE(transport.CallbackDropped(1, 2, 9, /*flags_stale=*/true, kSecond));
   EXPECT_FALSE(transport.CallbackDropped(1, 2, 9, /*flags_stale=*/true, 2 * kSecond));
-}
-
-TEST(RpcFaultTest, ClearFaultsRemovesOutagesAndPartitionsButKeepsEpochs) {
-  RpcTransport transport{NetworkConfig{}, TightRpcConfig()};
-  transport.ScheduleServerCrash(0, 0, kHour, /*new_epoch=*/2);
-  transport.SetPartition(1, 0, 0, kHour);
-  transport.ClearFaults();
-  const SimDuration net = Network{NetworkConfig{}}.RpcTime(kControlRpcBytes);
-  EXPECT_EQ(transport.Call(RpcKind::kOpen, 0, 0, kControlRpcBytes, kSecond), net);
-  EXPECT_EQ(transport.Call(RpcKind::kOpen, 1, 0, kControlRpcBytes, kSecond), net);
-  EXPECT_EQ(transport.ledger().stat(RpcKind::kOpen).timeouts, 0);
-  EXPECT_EQ(transport.ledger().stat(RpcKind::kOpen).blocked_waits, 0);
-  EXPECT_FALSE(transport.CallbackDropped(0, 1, 9, /*flags_stale=*/true, kSecond));
-  // Epochs survive ClearFaults: they are server identity, not a fault.
-  EXPECT_EQ(transport.ledger().by_epoch.at(2).calls, 2);
 }
 
 TEST(RpcFaultTest, PartitionDelaysOnlyThePartitionedClient) {

@@ -321,15 +321,13 @@ TEST(ClusterShardingTest, PlacementGaugeTracksLedger) {
   cluster.ServerForFile(2);  // server 0
   cluster.ServerForFile(4);  // server 0
   cluster.ServerForFile(3);  // server 1
-  const MetricsSnapshot snap = cluster.observability()->metrics().Snapshot(0);
-  int64_t placed0 = -1;
-  int64_t placed1 = -1;
-  for (const MetricSample& sample : snap.samples) {
-    if (sample.name == "server.0.files_placed") placed0 = sample.value;
-    if (sample.name == "server.1.files_placed") placed1 = sample.value;
-  }
-  EXPECT_EQ(placed0, 2);
-  EXPECT_EQ(placed1, 1);
+  const MetricsWindow& window = cluster.observability()->metrics().Capture(0);
+  const WindowSample* placed0 = window.Find("server.0.files_placed");
+  const WindowSample* placed1 = window.Find("server.1.files_placed");
+  ASSERT_NE(placed0, nullptr);
+  ASSERT_NE(placed1, nullptr);
+  EXPECT_EQ(placed0->value, 2);
+  EXPECT_EQ(placed1->value, 1);
 }
 
 // The recovery interaction the issue calls out: crash a server under kHash

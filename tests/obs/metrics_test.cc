@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "src/util/units.h"
 
@@ -86,87 +85,52 @@ TEST(MetricsRegistryTest, FindLooksUpByName) {
 
 TEST(MetricsRegistryTest, SnapshotOrdersCountersGaugesLatencies) {
   MetricsRegistry m;
-  m.AddLatency("lat")->Record(500);
+  m.AddLatency("z.lat")->Record(500);
   m.AddGauge("gauge", [] { return int64_t{11}; });
   m.AddCounter("count")->Add(3);
-  const MetricsSnapshot snap = m.Snapshot(1234);
-  ASSERT_EQ(snap.samples.size(), 3u);
-  EXPECT_EQ(snap.time, 1234);
-  EXPECT_EQ(snap.samples[0].name, "count");
-  EXPECT_EQ(snap.samples[0].kind, MetricSample::Kind::kCounter);
-  EXPECT_EQ(snap.samples[0].value, 3);
-  EXPECT_EQ(snap.samples[1].name, "gauge");
-  EXPECT_EQ(snap.samples[1].value, 11);
-  EXPECT_EQ(snap.samples[2].name, "lat");
-  EXPECT_EQ(snap.samples[2].count, 1);
-  EXPECT_EQ(snap.samples[2].total, 500);
+  m.AddLatency("a.lat")->Record(20);  // registered after z.lat, named before it
+  const MetricsWindow& w = m.Capture(1234);
+  ASSERT_EQ(w.samples.size(), 4u);
+  EXPECT_EQ(w.end, 1234);
+  EXPECT_EQ(w.samples[0].name, "count");
+  EXPECT_EQ(w.samples[0].kind, WindowSample::Kind::kCounter);
+  EXPECT_EQ(w.samples[0].value, 3);
+  EXPECT_EQ(w.samples[1].name, "gauge");
+  EXPECT_EQ(w.samples[1].kind, WindowSample::Kind::kGauge);
+  EXPECT_EQ(w.samples[1].value, 11);
+  // Latencies in registration order, not name order.
+  EXPECT_EQ(w.samples[2].name, "z.lat");
+  EXPECT_EQ(w.samples[2].kind, WindowSample::Kind::kLatency);
+  EXPECT_EQ(w.samples[2].count, 1);
+  EXPECT_EQ(w.samples[2].total, 500);
+  EXPECT_EQ(w.samples[2].win_count, 1);
+  EXPECT_EQ(w.samples[3].name, "a.lat");
+  EXPECT_EQ(w.samples[3].count, 1);
+  EXPECT_EQ(w.samples[3].win_total, 20);
 }
 
 TEST(MetricsRegistryTest, GaugeReRegistrationReplacesReader) {
   MetricsRegistry m;
   m.AddGauge("g", [] { return int64_t{1}; });
   m.AddGauge("g", [] { return int64_t{2}; });
-  const MetricsSnapshot snap = m.Snapshot(0);
-  ASSERT_EQ(snap.samples.size(), 1u);
-  EXPECT_EQ(snap.samples[0].value, 2);
+  const MetricsWindow& w = m.Capture(0);
+  ASSERT_EQ(w.samples.size(), 1u);
+  EXPECT_EQ(w.samples[0].value, 2);
 }
 
 TEST(MetricsRegistryTest, HistoryAndReset) {
   MetricsRegistry m;
   Counter* c = m.AddCounter("c");
   c->Add(5);
-  m.RecordSnapshot(10);
-  m.RecordSnapshot(20);
-  ASSERT_EQ(m.history().size(), 2u);
-  EXPECT_EQ(m.history()[1].time, 20);
-  m.Reset();
-  EXPECT_TRUE(m.history().empty());
+  m.Capture(10);
+  m.Capture(20);
+  ASSERT_EQ(m.series().size(), 2u);
+  EXPECT_EQ(m.series().window(1).end, 20);
+  m.Reset(30);
+  EXPECT_EQ(m.series().size(), 0u);
+  EXPECT_EQ(m.series().last_capture_time(), 30);
   EXPECT_EQ(c->value(), 0);               // zeroed, not unregistered
   EXPECT_EQ(m.instrument_count(), 1u);
-}
-
-TEST(MetricsRegistryTest, HistoryLimitBoundsRetention) {
-  MetricsRegistry m;
-  m.AddCounter("c");
-  m.SetHistoryLimit(3);
-  for (SimTime t = 1; t <= 5; ++t) {
-    m.RecordSnapshot(t);
-  }
-  ASSERT_EQ(m.history().size(), 3u);
-  EXPECT_EQ(m.history().front().time, 3);  // oldest snapshots evicted
-  EXPECT_EQ(m.history().back().time, 5);
-}
-
-TEST(MetricsRegistryTest, ForEachLatencyVisitsInRegistrationOrder) {
-  MetricsRegistry m;
-  m.AddLatency("z.second")->Record(10);
-  m.AddCounter("a.counter");
-  m.AddLatency("a.first")->Record(20);
-  std::vector<std::string> seen;
-  m.ForEachLatency([&seen](const std::string& name, const LatencyRecorder& rec) {
-    seen.push_back(name);
-    EXPECT_EQ(rec.count(), 1);
-  });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], "z.second");  // registration order, not name order
-  EXPECT_EQ(seen[1], "a.first");
-}
-
-TEST(FormatMetricsSnapshotTest, RendersDocumentedLineFormat) {
-  MetricsRegistry m;
-  m.AddCounter("rpc.calls")->Add(9);
-  m.AddGauge("sim.queue.pending", [] { return int64_t{4}; });
-  LatencyRecorder* rec = m.AddLatency("rpc.open.latency_us");
-  rec->Record(1000);
-  rec->Record(3000);
-  const std::string text = FormatMetricsSnapshot(m.Snapshot(42));
-  EXPECT_NE(text.find("# sprite-metrics v1\n"), std::string::npos);
-  EXPECT_NE(text.find("snapshot t_us=42\n"), std::string::npos);
-  EXPECT_NE(text.find("counter rpc.calls 9\n"), std::string::npos);
-  EXPECT_NE(text.find("gauge sim.queue.pending 4\n"), std::string::npos);
-  EXPECT_NE(text.find("latency rpc.open.latency_us count=2 total_us=4000"),
-            std::string::npos);
-  EXPECT_NE(text.find("\nend\n"), std::string::npos);
 }
 
 }  // namespace

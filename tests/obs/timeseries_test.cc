@@ -13,12 +13,12 @@ namespace {
 TEST(MetricsTimeSeriesTest, CounterDeltaAndRatePerWindow) {
   MetricsRegistry m;
   Counter* c = m.AddCounter("rpc.calls");
-  MetricsTimeSeries series(&m, 16);
+  const MetricsTimeSeries& series = m.series();
 
   c->Add(10);
-  series.Capture(2 * kSecond);
+  m.Capture(2 * kSecond);
   c->Add(30);
-  series.Capture(4 * kSecond);
+  m.Capture(4 * kSecond);
 
   ASSERT_EQ(series.size(), 2u);
   const WindowSample* w0 = series.window(0).Find("rpc.calls");
@@ -41,11 +41,11 @@ TEST(MetricsTimeSeriesTest, GaugeDeltaIsSigned) {
   MetricsRegistry m;
   int64_t value = 100;
   m.AddGauge("cache.bytes", [&value] { return value; });
-  MetricsTimeSeries series(&m, 16);
+  const MetricsTimeSeries& series = m.series();
 
-  series.Capture(kSecond);
+  m.Capture(kSecond);
   value = 40;
-  series.Capture(2 * kSecond);
+  m.Capture(2 * kSecond);
 
   EXPECT_EQ(series.window(0).Find("cache.bytes")->delta, 100);
   EXPECT_EQ(series.window(1).Find("cache.bytes")->delta, -60);
@@ -54,7 +54,7 @@ TEST(MetricsTimeSeriesTest, GaugeDeltaIsSigned) {
 TEST(MetricsTimeSeriesTest, WindowedPercentilesDivergeFromCumulative) {
   MetricsRegistry m;
   LatencyRecorder* rec = m.AddLatency("server.0.queue_us");
-  MetricsTimeSeries series(&m, 16);
+  const MetricsTimeSeries& series = m.series();
 
   // Window 0: a thousand fast waits. Window 1: a thousand slow ones. The
   // cumulative p50 stays in between, but each window's p50 must reflect only
@@ -62,11 +62,11 @@ TEST(MetricsTimeSeriesTest, WindowedPercentilesDivergeFromCumulative) {
   for (int i = 0; i < 1000; ++i) {
     rec->Record(100);
   }
-  series.Capture(kMinute);
+  m.Capture(kMinute);
   for (int i = 0; i < 1000; ++i) {
     rec->Record(100 * kMillisecond);
   }
-  series.Capture(2 * kMinute);
+  m.Capture(2 * kMinute);
 
   const WindowSample* w0 = series.window(0).Find("server.0.queue_us");
   const WindowSample* w1 = series.window(1).Find("server.0.queue_us");
@@ -89,9 +89,9 @@ TEST(MetricsTimeSeriesTest, EmptyLatencyWindowHasZeroPercentiles) {
   MetricsRegistry m;
   LatencyRecorder* rec = m.AddLatency("lat");
   rec->Record(5000);
-  MetricsTimeSeries series(&m, 4);
-  series.Capture(kMinute);
-  series.Capture(2 * kMinute);  // no new samples
+  const MetricsTimeSeries& series = m.series();
+  m.Capture(kMinute);
+  m.Capture(2 * kMinute);  // no new samples
   const WindowSample* w1 = series.window(1).Find("lat");
   ASSERT_NE(w1, nullptr);
   EXPECT_EQ(w1->win_count, 0);
@@ -103,50 +103,64 @@ TEST(MetricsTimeSeriesTest, EmptyLatencyWindowHasZeroPercentiles) {
 TEST(MetricsTimeSeriesTest, RingBufferEvictsOldestAndCounts) {
   MetricsRegistry m;
   Counter* c = m.AddCounter("c");
-  MetricsTimeSeries series(&m, 3);
-  for (int i = 1; i <= 5; ++i) {
+  const MetricsTimeSeries& series = m.series();
+  const int64_t captures = static_cast<int64_t>(MetricsTimeSeries::kCapacity) + 2;
+  for (int64_t i = 1; i <= captures; ++i) {
     c->Add(1);
-    series.Capture(i * kSecond);
+    m.Capture(i * kSecond);
   }
-  EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.capacity(), 3u);
-  EXPECT_EQ(series.windows_captured(), 5);
+  EXPECT_EQ(series.size(), MetricsTimeSeries::kCapacity);
+  EXPECT_EQ(series.windows_captured(), captures);
   EXPECT_EQ(series.windows_evicted(), 2);
-  // Oldest-first: the surviving windows are seq 2, 3, 4.
+  // Oldest-first: the surviving windows are seq 2 through captures - 1.
   EXPECT_EQ(series.window(0).seq, 2);
-  EXPECT_EQ(series.window(2).seq, 4);
+  EXPECT_EQ(series.window(0).start, 2 * kSecond);
+  EXPECT_EQ(series.window(series.size() - 1).seq, captures - 1);
   ASSERT_NE(series.latest(), nullptr);
-  EXPECT_EQ(series.latest()->seq, 4);
+  EXPECT_EQ(series.latest()->seq, captures - 1);
   // Deltas survive eviction: baselines are per-instrument, not per-window.
-  EXPECT_EQ(series.window(2).Find("c")->delta, 1);
+  EXPECT_EQ(series.latest()->Find("c")->value, captures);
+  EXPECT_EQ(series.latest()->Find("c")->delta, 1);
 }
 
 TEST(MetricsTimeSeriesTest, ResetRebaselinesAtGivenTime) {
   MetricsRegistry m;
   Counter* c = m.AddCounter("c");
-  MetricsTimeSeries series(&m, 8);
+  int64_t gauge = 50;
+  m.AddGauge("g", [&gauge] { return gauge; });
+  LatencyRecorder* rec = m.AddLatency("lat");
+  const MetricsTimeSeries& series = m.series();
   c->Add(100);
-  series.Capture(kMinute);
-  series.Reset(5 * kMinute);  // warmup discard
+  rec->Record(100);
+  m.Capture(kMinute);
+  m.Reset(5 * kMinute);  // warmup discard
   EXPECT_EQ(series.size(), 0u);
   EXPECT_EQ(series.windows_captured(), 0);
   EXPECT_EQ(series.last_capture_time(), 5 * kMinute);
+  EXPECT_EQ(c->value(), 0);  // the registry reset zeroes the counter too
+  EXPECT_EQ(rec->count(), 0);
   c->Add(7);
-  series.Capture(6 * kMinute);
+  rec->Record(100 * kMillisecond);
+  m.Capture(6 * kMinute);
   const MetricsWindow& w = series.window(0);
   EXPECT_EQ(w.seq, 0);
   EXPECT_EQ(w.start, 5 * kMinute);
-  // The counter was NOT reset here, so the post-reset delta is against a
-  // fresh (zero) baseline — the cluster resets the registry alongside.
-  EXPECT_EQ(w.Find("c")->value, 107);
+  EXPECT_EQ(w.Find("c")->value, 7);
+  EXPECT_EQ(w.Find("c")->delta, 7);
+  // Every baseline restarts at zero, gauges included: the first window
+  // after a reset reports the gauge's whole reading as its delta.
+  EXPECT_EQ(w.Find("g")->delta, 50);
+  // The windowed percentiles see only the post-reset sample.
+  EXPECT_EQ(w.Find("lat")->win_count, 1);
+  EXPECT_GT(w.Find("lat")->win_p50, 50 * kMillisecond);
 }
 
 TEST(MetricsTimeSeriesTest, FinalPartialWindowIsMarked) {
   MetricsRegistry m;
   m.AddCounter("c");
-  MetricsTimeSeries series(&m, 8);
-  series.Capture(kMinute);
-  series.Capture(kMinute + 17 * kSecond, /*final_partial=*/true);
+  const MetricsTimeSeries& series = m.series();
+  m.Capture(kMinute);
+  m.Capture(kMinute + 17 * kSecond, /*final_partial=*/true);
   EXPECT_FALSE(series.window(0).final_partial);
   EXPECT_TRUE(series.window(1).final_partial);
   EXPECT_EQ(series.window(1).end - series.window(1).start, 17 * kSecond);
@@ -159,8 +173,8 @@ TEST(FormatMetricsWindowTest, RendersDocumentedV2Format) {
   LatencyRecorder* rec = m.AddLatency("rpc.open.latency_us");
   rec->Record(1000);
   rec->Record(3000);
-  MetricsTimeSeries series(&m, 4);
-  series.Capture(3 * kSecond);
+  const MetricsTimeSeries& series = m.series();
+  m.Capture(3 * kSecond);
   const std::string text = FormatMetricsWindow(series.window(0));
   EXPECT_NE(text.find("# sprite-metrics v2\n"), std::string::npos);
   EXPECT_NE(text.find("window seq=0 t_start_us=0 t_end_us=3000000 final_partial=0\n"),

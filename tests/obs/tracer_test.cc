@@ -88,7 +88,7 @@ TEST(SpanTracerTest, ExportsMetricsHistoryAsCounterEvents) {
   metrics.AddCounter("rpc.calls")->Add(12);
   metrics.AddGauge("sim.queue.pending", [] { return int64_t{3}; });
   metrics.AddLatency("rpc.open.latency_us")->Record(100);
-  metrics.RecordSnapshot(60000000);
+  metrics.Capture(60000000);
 
   SpanTracer tracer;
   std::ostringstream out;
@@ -124,7 +124,7 @@ TEST(CounterTrackPidTest, RoutesPrefixedNamesToComponentTracks) {
 TEST(CounterTrackPidTest, GaugesExportOnPerServerTracks) {
   MetricsRegistry metrics;
   metrics.AddGauge("server.1.queue_depth", [] { return int64_t{4}; });
-  metrics.RecordSnapshot(1000);
+  metrics.Capture(1000);
   SpanTracer tracer;
   std::ostringstream out;
   tracer.WriteChromeTrace(out, &metrics);

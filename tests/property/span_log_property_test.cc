@@ -103,22 +103,23 @@ std::string OracleChromeTrace(const std::vector<Span>& spans,
   }
 
   if (metrics != nullptr) {
-    for (const MetricsSnapshot& snapshot : metrics->history()) {
-      for (const MetricSample& s : snapshot.samples) {
-        if (s.kind == MetricSample::Kind::kLatency) {
+    const MetricsTimeSeries& series = metrics->series();
+    for (size_t i = 0; i < series.size(); ++i) {
+      for (const WindowSample& s : series.window(i).samples) {
+        if (s.kind == WindowSample::Kind::kLatency) {
           continue;
         }
         std::string e = "{\"ph\":\"C\",\"name\":\"";
         AppendEscaped(e, s.name);
         std::snprintf(buf, sizeof(buf),
                       "\",\"pid\":%d,\"tid\":0,\"ts\":%lld,\"args\":{\"value\":%lld}}",
-                      CounterTrackPid(s.name), static_cast<long long>(snapshot.time),
+                      CounterTrackPid(s.name), static_cast<long long>(series.window(i).end),
                       static_cast<long long>(s.value));
         e += buf;
         AppendEvent(body, first, e);
       }
     }
-    if (!metrics->history().empty()) {
+    if (series.size() > 0) {
       std::string e = "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
       e += std::to_string(kMetricsPid);
       e += ",\"tid\":0,\"args\":{\"name\":\"metrics\"}}";
@@ -270,8 +271,8 @@ TEST_P(SpanLogProperty, DecodedLogAndExportMatchVectorModel) {
   metrics.AddGauge("server.1.queue_depth", [] { return int64_t{4}; });
   metrics.AddGauge("we\"ird", [] { return kMin; });
   metrics.AddLatency("rpc.open.latency_us")->Record(100);
-  metrics.RecordSnapshot(60000000);
-  metrics.RecordSnapshot(kMax);
+  metrics.Capture(60000000);
+  metrics.Capture(kMax);
   std::ostringstream out;
   tracer.WriteChromeTrace(out, &metrics);
   EXPECT_TRUE(out.str() == OracleChromeTrace(model, process_names, &metrics))

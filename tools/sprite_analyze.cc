@@ -11,19 +11,20 @@
 // through the RPC transport model and prints the per-kind ledger table.
 //
 // Observability options:
-//   --metrics              collect and print metrics. Live --simulate runs
-//                          print the windowed time series (sprite-metrics v2:
-//                          per-window deltas, rates, and windowed latency
-//                          percentiles; DESIGN.md "Observability v2"); trace
-//                          replay falls back to the v1 snapshot history. Both
-//                          modes append per-RPC-kind p50/p90/p99 latency
-//                          percentiles.
-//   --metrics-interval N   registry snapshot period in seconds (default 60;
+//   --metrics              collect and print metrics: the windowed time
+//                          series (sprite-metrics v2: per-window deltas,
+//                          rates, and windowed latency percentiles; DESIGN.md
+//                          "Observability v2"), then per-RPC-kind
+//                          p50/p90/p99 latency percentiles. Trace replay
+//                          windows the trace time the same way and closes
+//                          with a final_partial window at the last record.
+//   --metrics-interval N   metrics window period in seconds (default 60;
 //                          implies --metrics)
 //   --metrics-out FILE     write the metric streams (--metrics windows,
-//                          --critical-path, --hotspot-report) to FILE instead
-//                          of interleaving them with the paper tables on
-//                          stdout; --metrics-out=FILE also accepted
+//                          --critical-path, --hotspot-report, --rebalance)
+//                          to FILE instead of interleaving them with the
+//                          paper tables on stdout; --metrics-out=FILE also
+//                          accepted. Rejected when none of those is asked for
 //   --critical-path        collect per-operation critical-path frames and
 //                          print the "where the time goes" table attributing
 //                          end-to-end op latency to RPC wait / wire / queue /
@@ -165,34 +166,23 @@ void Usage() {
       "                      [--rebalance] [observability options as above]\n");
 }
 
-void PrintMetrics(const Observability& obs, SimTime now, FILE* sink) {
-  const MetricsRegistry& metrics = obs.metrics();
+void PrintMetrics(const Observability& obs, FILE* sink) {
+  // Windowed time series (deltas/rates plus windowed latency percentiles).
+  // The final window carries final_partial=1 when the run length was not a
+  // multiple of the window period, and always for a replayed trace.
   const MetricsTimeSeries& series = obs.series();
-  if (series.size() > 0) {
-    // Live cluster: windowed time series (deltas/rates plus windowed latency
-    // percentiles). The final window carries final_partial=1 when the run
-    // length was not a multiple of the snapshot interval.
-    std::fprintf(sink,
-                 "\n== Metrics (sprite-metrics v2, windowed; see DESIGN.md "
-                 "\"Observability v2\") ==\n");
-    if (series.windows_evicted() > 0) {
-      std::fprintf(sink, "# %lld oldest windows evicted (ring capacity %zu)\n",
-                   static_cast<long long>(series.windows_evicted()), series.capacity());
-    }
-    for (size_t i = 0; i < series.size(); ++i) {
-      std::fprintf(sink, "%s", FormatMetricsWindow(series.window(i)).c_str());
-    }
-  } else {
-    // Trace replay reconstructs plain snapshots only; keep the v1 stream.
-    std::fprintf(sink, "\n== Metrics (sprite-metrics v1; see DESIGN.md \"Observability\") ==\n");
-    for (const MetricsSnapshot& snapshot : metrics.history()) {
-      std::fprintf(sink, "%s", FormatMetricsSnapshot(snapshot).c_str());
-    }
-    // Final snapshot at end of run, regardless of the periodic history.
-    std::fprintf(sink, "%s", FormatMetricsSnapshot(metrics.Snapshot(now)).c_str());
+  std::fprintf(sink,
+               "\n== Metrics (sprite-metrics v2, windowed; see DESIGN.md "
+               "\"Observability v2\") ==\n");
+  if (series.windows_evicted() > 0) {
+    std::fprintf(sink, "# %lld oldest windows evicted (ring capacity %zu)\n",
+                 static_cast<long long>(series.windows_evicted()), MetricsTimeSeries::kCapacity);
+  }
+  for (size_t i = 0; i < series.size(); ++i) {
+    std::fprintf(sink, "%s", FormatMetricsWindow(series.window(i)).c_str());
   }
   std::fprintf(sink, "\n== RPC latency percentiles (from recorded spans) ==\n%s",
-               FormatRpcLatencySummary(metrics).c_str());
+               FormatRpcLatencySummary(obs.metrics()).c_str());
 }
 
 bool WriteTraceJson(const Observability& obs, const std::string& path) {
@@ -372,6 +362,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!metrics_out.empty() && !metrics && !critical_path && !hotspot_report && !rebalance) {
+    std::fprintf(stderr,
+                 "--metrics-out writes no stream without --metrics, --metrics-interval, "
+                 "--critical-path, --hotspot-report or --rebalance\n");
+    Usage();
+    return 2;
+  }
   FaultSchedule fault_schedule;
   if (!crash_schedule_spec.empty()) {
     try {
@@ -399,7 +396,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<Generator> generator;
   std::unique_ptr<Observability> replay_obs;
   const Observability* obs = nullptr;
-  SimTime end_time = 0;
 
   if (simulate) {
     if (users <= 0 || servers <= 0 || minutes <= 0 || warmup < 0) {
@@ -449,7 +445,6 @@ int main(int argc, char** argv) {
     trace = generator->Run(static_cast<SimDuration>(minutes) * kMinute,
                            static_cast<SimDuration>(warmup) * kMinute);
     obs = generator->cluster().observability();
-    end_time = generator->queue().now();
     // Determinism witness (stderr, so stdout baselines are unaffected): the
     // kernel-level event count must not move under perf refactors.
     std::fprintf(stderr, "dispatched %llu events\n",
@@ -639,9 +634,6 @@ int main(int argc, char** argv) {
     if (obs_config.enabled()) {
       replay_obs = std::make_unique<Observability>(obs_config);
       obs = replay_obs.get();
-      if (!trace.empty()) {
-        end_time = trace.back().time;
-      }
     }
     const RpcLedger ledger =
         ReplayTraceLedger(trace, NetworkConfig{}, replay_obs.get(), metrics_interval);
@@ -664,7 +656,7 @@ int main(int argc, char** argv) {
     msink = metrics_file;
   }
   if (metrics && obs != nullptr) {
-    PrintMetrics(*obs, end_time, msink);
+    PrintMetrics(*obs, msink);
   }
   if (critical_path && obs != nullptr) {
     std::fprintf(msink, "\n== Critical path (where the time goes) ==\n%s",
