@@ -187,7 +187,7 @@ void BM_TransportCall(benchmark::State& state, TransportMode mode) {
     transport.BindEventQueue(&queue);
     for (ServerId s = 0; s < 2; ++s) {
       servers.push_back(
-          std::make_unique<Server>(s, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite));
+          std::make_unique<Server>(s, ServerConfig{}, DiskConfig{}));
       servers.back()->EnableServiceQueue(rpc);
       transport.RegisterServer(s, servers.back().get());
     }
@@ -215,27 +215,20 @@ BENCHMARK_CAPTURE(BM_TransportCall, batch_contention,
                   TransportMode{.batching = true, .contention = true});
 BENCHMARK_CAPTURE(BM_TransportCall, async, TransportMode{.async = true});
 
-// One server's open/close path per consistency policy. `sprite_single` is
-// one reader's open and close; the shared cases open a reader, a writer and
-// a second reader of one file from three clients, then close them in that
-// order, so every iteration enters and leaves concurrent write-sharing and
-// fires the policy's callbacks (into no-op clients).
-struct OpenCloseCase {
-  ConsistencyPolicy policy = ConsistencyPolicy::kSprite;
-  bool shared = false;
-};
-
+// One server's open/close path. `sprite_single` is one reader's open and
+// close; `sprite_shared` opens a reader, a writer and a second reader of one
+// file from three clients, then closes them in that order, so every
+// iteration enters and leaves concurrent write-sharing and fires the
+// cache-disable callbacks (into no-op clients).
 class NoopControl final : public CacheControl {
  public:
   void RecallDirtyData(FileId, SimTime) override {}
   void DisableCaching(FileId, SimTime) override {}
-  void EnableCaching(FileId, SimTime) override {}
-  void RecallToken(FileId, SimTime, bool) override {}
   void DiscardFile(FileId, SimTime) override {}
 };
 
-void BM_ServerOpenClose(benchmark::State& state, OpenCloseCase c) {
-  Server server(0, ServerConfig{}, DiskConfig{}, c.policy);
+void BM_ServerOpenClose(benchmark::State& state, bool shared) {
+  Server server(0, ServerConfig{}, DiskConfig{});
   NoopControl control;
   for (ClientId client = 0; client < 3; ++client) {
     server.RegisterClient(client, &control);
@@ -245,24 +238,20 @@ void BM_ServerOpenClose(benchmark::State& state, OpenCloseCase c) {
   for (auto _ : state) {
     ++now;
     benchmark::DoNotOptimize(server.Open(0, file, OpenMode::kRead, /*is_directory=*/false, now));
-    if (c.shared) {
+    if (shared) {
       benchmark::DoNotOptimize(server.Open(1, file, OpenMode::kWrite, false, now));
       benchmark::DoNotOptimize(server.Open(2, file, OpenMode::kRead, false, now));
     }
     benchmark::DoNotOptimize(server.Close(0, file, OpenMode::kRead, /*wrote=*/false, 0, now));
-    if (c.shared) {
+    if (shared) {
       benchmark::DoNotOptimize(server.Close(1, file, OpenMode::kWrite, false, 0, now));
       benchmark::DoNotOptimize(server.Close(2, file, OpenMode::kRead, false, 0, now));
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_ServerOpenClose, sprite_single, OpenCloseCase{});
-BENCHMARK_CAPTURE(BM_ServerOpenClose, sprite_shared, OpenCloseCase{.shared = true});
-BENCHMARK_CAPTURE(BM_ServerOpenClose, modified_shared,
-                  OpenCloseCase{.policy = ConsistencyPolicy::kSpriteModified, .shared = true});
-BENCHMARK_CAPTURE(BM_ServerOpenClose, token_shared,
-                  OpenCloseCase{.policy = ConsistencyPolicy::kToken, .shared = true});
+BENCHMARK_CAPTURE(BM_ServerOpenClose, sprite_single, false);
+BENCHMARK_CAPTURE(BM_ServerOpenClose, sprite_shared, true);
 
 // Span emission into a growing log: an RPC-shaped span with six args (the
 // transport's per-call span) or a zero-arg phase span (its wire/backoff

@@ -14,10 +14,24 @@
 
 #include <cstdint>
 
-#include "src/fs/config.h"
 #include "src/trace/record.h"
+#include "src/util/units.h"
 
 namespace sprite {
+
+// The consistency algorithms Section 5.6 of the paper compares by
+// trace-driven simulation. The live cluster runs only kSprite's rule.
+enum class ConsistencyPolicy {
+  // Files under concurrent write-sharing become uncacheable until closed by
+  // *all* clients (the shipped Sprite mechanism).
+  kSprite,
+  // Like kSprite, but a file becomes cacheable again as soon as enough
+  // clients close it to end the concurrent write-sharing.
+  kSpriteModified,
+  // Token-based (Locus/Echo/DEcorum style): always cacheable on at least
+  // one client; conflicting opens recall tokens.
+  kToken,
+};
 
 struct OverheadResult {
   int64_t bytes_requested = 0;   // bytes applications asked for

@@ -835,34 +835,6 @@ void Client::DisableCaching(FileId file, SimTime now) {
   }
 }
 
-void Client::EnableCaching(FileId file, SimTime now) {
-  (void)now;
-  for (auto& [handle, of] : handles_) {
-    (void)handle;
-    if (of.file == file) {
-      of.cacheable = true;
-    }
-  }
-  if (obs_ != nullptr && obs_->tracing_enabled()) {
-    obs_->tracer().Emit("consistency.cache-enable", "consistency", ClientTrack(id_), now, 0,
-                        {{"file", static_cast<int64_t>(file)}});
-  }
-}
-
-void Client::RecallToken(FileId file, SimTime now, bool invalidate) {
-  RecallDirtyData(file, now);
-  if (invalidate) {
-    cache_.InvalidateFile(file, now);
-    if (stale_tracker_ != nullptr) {
-      stale_tracker_->ClearFile(id_, file);
-    }
-  }
-  if (obs_ != nullptr && obs_->tracing_enabled()) {
-    obs_->tracer().Emit("consistency.token-recall", "consistency", ClientTrack(id_), now, 0,
-                        {{"file", static_cast<int64_t>(file)}, {"invalidate", invalidate ? 1 : 0}});
-  }
-}
-
 void Client::DiscardFile(FileId file, SimTime now) {
   cache_.InvalidateFile(file, now);
   if (stale_tracker_ != nullptr) {

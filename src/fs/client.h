@@ -141,8 +141,6 @@ class Client final : public CacheControl {
   // --- CacheControl (server-issued consistency commands) -------------------
   void RecallDirtyData(FileId file, SimTime now) override;
   void DisableCaching(FileId file, SimTime now) override;
-  void EnableCaching(FileId file, SimTime now) override;
-  void RecallToken(FileId file, SimTime now, bool invalidate) override;
   void DiscardFile(FileId file, SimTime now) override;
 
   // --- Introspection --------------------------------------------------------

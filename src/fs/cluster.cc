@@ -79,10 +79,7 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
     NewServer();
   }
 
-  Client::TraceSink sink;
-  if (config.tracing_enabled) {
-    sink = [this](const Record& r) { trace_.push_back(r); };
-  }
+  const Client::TraceSink sink = [this](const Record& r) { trace_.push_back(r); };
 
   clients_.reserve(static_cast<size_t>(config.num_clients));
   for (int c = 0; c < config.num_clients; ++c) {
@@ -115,8 +112,7 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
 
 void Cluster::NewServer() {
   const auto id = static_cast<ServerId>(servers_.size());
-  servers_.push_back(
-      std::make_unique<Server>(id, config_.server, config_.disk, config_.consistency));
+  servers_.push_back(std::make_unique<Server>(id, config_.server, config_.disk));
   Server& server = *servers_.back();
   if (config_.rpc.async) {
     // Before AttachObservability, so the queue instruments register in the

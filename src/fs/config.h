@@ -10,27 +10,12 @@
 #define SPRITE_DFS_SRC_FS_CONFIG_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/fs/types.h"
 #include "src/obs/observability.h"
 #include "src/util/units.h"
 
 namespace sprite {
-
-// Cache-consistency algorithm implemented by the server (Section 5.6 of the
-// paper compares the three).
-enum class ConsistencyPolicy {
-  // Files under concurrent write-sharing become uncacheable until closed by
-  // *all* clients (the shipped Sprite mechanism).
-  kSprite,
-  // Like kSprite, but a file becomes cacheable again as soon as enough
-  // clients close it to end the concurrent write-sharing.
-  kSpriteModified,
-  // Token-based (Locus/Echo/DEcorum style): always cacheable on at least
-  // one client; conflicting opens recall tokens.
-  kToken,
-};
 
 struct CacheConfig {
   // Maximum cache size in blocks (dynamic sizing moves below this bound).
@@ -244,18 +229,13 @@ enum class ShardingPolicy {
 };
 
 struct ShardingConfig {
+  // kRange partitions [0, kDefaultRangeSpan) uniformly (src/fs/sharding.h).
   ShardingPolicy policy = ShardingPolicy::kModulo;
-  // kRange only: exactly num_servers - 1 strictly increasing split points;
-  // server i owns the half-open id range [splits[i-1], splits[i]) (server 0
-  // from 0, the last server unbounded above). Empty derives a uniform
-  // partition of [0, kDefaultRangeSpan) — see src/fs/sharding.h.
-  std::vector<FileId> range_splits;
 };
 
 struct ClusterConfig {
   int num_clients = 40;
   int num_servers = 4;
-  ConsistencyPolicy consistency = ConsistencyPolicy::kSprite;
   ClientConfig client;
   ServerConfig server;
   NetworkConfig network;
@@ -267,9 +247,6 @@ struct ClusterConfig {
   ReplicationConfig replication;
   // Live hot-spot-driven home migration and elastic resize (default: off).
   RebalanceConfig rebalance;
-  // When true, the cluster appends kernel-call records to its TraceLog as a
-  // side effect of client operations (the paper's server-side tracing).
-  bool tracing_enabled = true;
   // Metrics/span collection (all off by default; enabling it must not
   // perturb the simulation — see src/obs/observability.h).
   ObservabilityConfig observability;

@@ -164,8 +164,6 @@ enum class RpcKind : uint8_t {
   // Server -> client consistency callbacks (CacheControl).
   kRecallDirty,     // flush your dirty data for a file
   kCacheDisable,    // stop caching (concurrent write-sharing began)
-  kCacheEnable,     // caching allowed again
-  kTokenRecall,     // token policies: flush and maybe invalidate
   kDiscardFile,     // contents destroyed remotely: drop cached blocks
   // Primary -> backup replication shadowing (ReplicationConfig). Issued by
   // the ServerStub alongside the primary operation, so shadowing costs real
@@ -185,7 +183,7 @@ enum class RpcKind : uint8_t {
   kMigrateDirty,    // source -> coordinator: flushed dirty extents
   kMigrateCommit,   // coordinator -> destination: install image, repoint home
 };
-inline constexpr int kRpcKindCount = 26;
+inline constexpr int kRpcKindCount = 24;
 
 // The server service lane a kind holds in async mode. A kind occupies the
 // wire exactly when it has a lane; kNone kinds are ledger-only by default.
@@ -228,8 +226,6 @@ inline constexpr std::array<RpcKindInfo, kRpcKindCount> kRpcKinds = {{
     {"reopen", RpcLane::kControl, RpcGroup::kPlain},
     {"recall-dirty", RpcLane::kNone, RpcGroup::kCallback},
     {"cache-disable", RpcLane::kNone, RpcGroup::kCallback},
-    {"cache-enable", RpcLane::kNone, RpcGroup::kCallback},
-    {"token-recall", RpcLane::kNone, RpcGroup::kCallback},
     {"discard-file", RpcLane::kNone, RpcGroup::kCallback},
     // Shadowing is a real wire message to the backup.
     {"shadow-open", RpcLane::kControl, RpcGroup::kShadow},

@@ -534,16 +534,6 @@ class CallbackStub final : public CacheControl {
       target_->DisableCaching(file, now);
     }
   }
-  void EnableCaching(FileId file, SimTime now) override {
-    if (Deliver(RpcKind::kCacheEnable, file, /*flags_stale=*/false, now)) {
-      target_->EnableCaching(file, now);
-    }
-  }
-  void RecallToken(FileId file, SimTime now, bool invalidate) override {
-    if (Deliver(RpcKind::kTokenRecall, file, /*flags_stale=*/invalidate, now)) {
-      target_->RecallToken(file, now, invalidate);
-    }
-  }
   void DiscardFile(FileId file, SimTime now) override {
     if (Deliver(RpcKind::kDiscardFile, file, /*flags_stale=*/true, now)) {
       target_->DiscardFile(file, now);
@@ -729,24 +719,30 @@ RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_conf
   Counter* call_counter = nullptr;
   Counter* payload_counter = nullptr;
   if (metrics) {
-    for (int k = 0; k < kRpcKindCount; ++k) {
-      // kBatch is synthesized by the live transport's flush path only, and
-      // the kMigrate* protocol by a rebalancing cluster's coordinator; a
-      // replayed trace never contains either.
-      const RpcKindInfo& info = kRpcKinds[static_cast<size_t>(k)];
-      if (info.group == RpcGroup::kBatch || info.group == RpcGroup::kMigrate) {
-        continue;
-      }
-      recorders[static_cast<size_t>(k)] =
-          obs->metrics().AddLatency(std::string("rpc.") + info.name + ".latency_us");
+    // The kinds the switch below issues, in enum order: a recorder for any
+    // other kind would stay empty in every window.
+    for (const RpcKind kind :
+         {RpcKind::kOpen, RpcKind::kClose, RpcKind::kCreate, RpcKind::kDelete,
+          RpcKind::kTruncate, RpcKind::kReadBlock, RpcKind::kWriteBlock, RpcKind::kUncachedRead,
+          RpcKind::kUncachedWrite, RpcKind::kReadDir}) {
+      recorders[static_cast<size_t>(kind)] =
+          obs->metrics().AddLatency(std::string("rpc.") + RpcKindName(kind) + ".latency_us");
     }
     // Counters rather than ledger gauges: the ledger is a local that dies
     // with this call, and counters survive inside the registry.
     call_counter = obs->metrics().AddCounter("rpc.calls");
     payload_counter = obs->metrics().AddCounter("rpc.payload_bytes");
   }
-  SimTime next_snapshot =
-      (metrics && snapshot_interval > 0) ? snapshot_interval : 0;
+  SimTime next_snapshot = 0;
+  if (metrics && !trace.empty()) {
+    // The first window opens at the first record, as a live run's opens at
+    // the warm-up boundary; later boundaries fall on multiples of the
+    // interval, where a live collector fires.
+    obs->metrics().Reset(trace.front().time);
+    if (snapshot_interval > 0) {
+      next_snapshot = (trace.front().time / snapshot_interval + 1) * snapshot_interval;
+    }
+  }
 
   // `calls` reconstructed RPCs, each costing `per_call_net` (uniform within
   // one batch, so recorded latencies sum exactly to the ledger's net time).

@@ -416,12 +416,14 @@ ServerCounters ServerTrafficFromLedger(const RpcLedger& ledger);
 // When `obs` is non-null the replay also feeds it: per-kind latency
 // recorders (one Record per reconstructed call) and, with tracing enabled,
 // one span per record-level RPC batch at the record's timestamp. With
-// metrics enabled the registry captures a window on every `snapshot_interval`
-// (when > 0) of trace time, mimicking the live collector daemon, and a
-// final_partial window at the last record's time, so the windows' deltas
-// cover every replayed call.
-// Paging RPCs never appear in kernel-call traces, so replayed spans cover
-// only the trace-visible kinds; use a live run for full coverage.
+// metrics enabled the replay resets the registry at the first record, so
+// the first window starts there, captures a window at every multiple of
+// `snapshot_interval` (when > 0) of trace time, mimicking the live
+// collector daemon, and a final_partial window at the last record's time,
+// so the windows' deltas cover every replayed call.
+// Paging RPCs never appear in kernel-call traces, so the replay registers
+// recorders and emits spans only for the trace-visible kinds; use a live
+// run for full coverage.
 RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_config = {},
                             Observability* obs = nullptr, SimDuration snapshot_interval = 0);
 

@@ -64,10 +64,8 @@ bool IsWriteShared(const std::vector<OpenCount>& opens) {
 
 }  // namespace
 
-Server::Server(ServerId id, const ServerConfig& config, const DiskConfig& disk_config,
-               ConsistencyPolicy policy)
+Server::Server(ServerId id, const ServerConfig& config, const DiskConfig& disk_config)
     : id_(id),
-      policy_(policy),
       disk_(disk_config),
       cache_([&] {
         CacheConfig c = config.cache;
@@ -281,59 +279,23 @@ int64_t Server::HomedBytes() const {
   return total;
 }
 
-void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool writer_open,
-                            bool count, SimTime now, OpenReply* reply) {
-  switch (policy_) {
-    case ConsistencyPolicy::kSprite:
-    case ConsistencyPolicy::kSpriteModified: {
-      if (IsWriteShared(state.opens)) {
-        if (count) {
-          ++counters_.write_sharing_opens;
-        }
-        if (reply != nullptr) {
-          reply->caused_write_sharing = true;
-        }
-        if (state.cacheable) {
-          state.cacheable = false;
-          for (const OpenCount& open : state.opens) {
-            if (CacheControl* control = ControlFor(open.client)) {
-              control->DisableCaching(file, now);
-            }
-          }
-        }
+void Server::EnforceSharing(FileId file, OpenState& state, bool count, SimTime now,
+                            OpenReply* reply) {
+  if (!IsWriteShared(state.opens)) {
+    return;
+  }
+  if (count) {
+    ++counters_.write_sharing_opens;
+  }
+  if (reply != nullptr) {
+    reply->caused_write_sharing = true;
+  }
+  if (state.cacheable) {
+    state.cacheable = false;
+    for (const OpenCount& open : state.opens) {
+      if (CacheControl* control = ControlFor(open.client)) {
+        control->DisableCaching(file, now);
       }
-      break;
-    }
-    case ConsistencyPolicy::kToken: {
-      // The file stays cacheable; conflicting opens recall tokens instead.
-      if (IsWriteShared(state.opens)) {
-        if (count) {
-          ++counters_.write_sharing_opens;
-        }
-        if (reply != nullptr) {
-          reply->caused_write_sharing = true;
-        }
-      }
-      if (writer_open) {
-        // A write token conflicts with every other client's token.
-        for (const OpenCount& open : state.opens) {
-          if (open.client != client) {
-            if (CacheControl* control = ControlFor(open.client)) {
-              control->RecallToken(file, now, /*invalidate=*/true);
-            }
-          }
-        }
-      } else {
-        // A read token conflicts only with another client's write token.
-        for (const OpenCount& open : state.opens) {
-          if (open.client != client && open.writers > 0) {
-            if (CacheControl* control = ControlFor(open.client)) {
-              control->RecallToken(file, now, /*invalidate=*/false);
-            }
-          }
-        }
-      }
-      break;
     }
   }
 }
@@ -373,7 +335,7 @@ Server::OpenReply Server::Open(ClientId client, FileId file, OpenMode mode, bool
   }
 
   AddOpen(state.opens, client, mode);
-  EnforceSharing(file, state, client, mode != OpenMode::kRead, /*count=*/true, now, &reply);
+  EnforceSharing(file, state, /*count=*/true, now, &reply);
 
   reply.version = meta.version;
   reply.cacheable = state.cacheable;
@@ -382,6 +344,7 @@ Server::OpenReply Server::Open(ClientId client, FileId file, OpenMode mode, bool
 
 Server::CloseReply Server::Close(ClientId client, FileId file, OpenMode mode, bool wrote,
                                  int64_t final_size, SimTime now) {
+  (void)now;
   CloseReply reply;
 
   FileMeta& meta = EnsureFile(file);
@@ -402,29 +365,10 @@ Server::CloseReply Server::Close(ClientId client, FileId file, OpenMode mode, bo
   }
   OpenState& state = state_it->second;
   RemoveOpen(state.opens, client, mode);
-  MaybeReenableCaching(file, state, now);
   if (state.opens.empty()) {
     open_states_.erase(state_it);
   }
   return reply;
-}
-
-void Server::MaybeReenableCaching(FileId file, OpenState& state, SimTime now) {
-  if (state.cacheable) {
-    return;
-  }
-  const bool reenable = policy_ == ConsistencyPolicy::kSpriteModified
-                            ? !IsWriteShared(state.opens)
-                            : state.opens.empty();
-  if (!reenable) {
-    return;
-  }
-  state.cacheable = true;
-  for (const OpenCount& open : state.opens) {
-    if (CacheControl* control = ControlFor(open.client)) {
-      control->EnableCaching(file, now);
-    }
-  }
 }
 
 SimDuration Server::TouchServerCache(FileId file, int64_t block, bool write, int64_t bytes,
@@ -502,6 +446,7 @@ SimDuration Server::ReadDirectory(FileId dir, int64_t bytes, SimTime now) {
 }
 
 void Server::ClientCrashed(ClientId client, SimTime now) {
+  (void)now;
   for (auto& [file, meta] : files_) {
     (void)file;
     if (meta.last_writer == client) {
@@ -523,7 +468,6 @@ void Server::ClientCrashed(ClientId client, SimTime now) {
   for (auto it = open_states_.begin(); it != open_states_.end();) {
     OpenState& state = it->second;
     DropClient(state.opens, client);
-    MaybeReenableCaching(it->first, state, now);
     it = state.opens.empty() ? open_states_.erase(it) : std::next(it);
   }
 }
@@ -586,7 +530,7 @@ Server::ReopenReply Server::Reopen(ClientId client, FileId file, OpenMode mode,
     // Re-registration can recreate concurrent write-sharing among the
     // already-reopened handles; the usual callbacks fire, but these are not
     // new opens, so Table 10's counters are untouched.
-    EnforceSharing(file, state, client, mode != OpenMode::kRead, /*count=*/false, now, nullptr);
+    EnforceSharing(file, state, /*count=*/false, now, nullptr);
     reply.cacheable = state.cacheable;
   }
   reply.version = meta.version;
@@ -702,9 +646,7 @@ void Server::InstallOpens(FileId file, const std::vector<OpenCount>& opens,
     open.readers += e.readers;
     open.writers += e.writers;
   }
-  state.cacheable = cacheable.has_value()
-                        ? *cacheable
-                        : policy_ == ConsistencyPolicy::kToken || !IsWriteShared(state.opens);
+  state.cacheable = cacheable.value_or(!IsWriteShared(state.opens));
 }
 
 void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(FileId)>& mine) {

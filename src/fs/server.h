@@ -8,8 +8,8 @@
 //   * recall of dirty data from the last writer when another client opens;
 //   * cache disabling during concurrent write-sharing, with all read/write
 //     requests passed through to the server until every client closes.
-// The modified-Sprite and token-based alternatives of Section 5.6 are also
-// implemented, selected by ConsistencyPolicy.
+// The alternatives Section 5.6 compares are simulated from traces
+// (src/consistency/overhead.h), not run here.
 
 #ifndef SPRITE_DFS_SRC_FS_SERVER_H_
 #define SPRITE_DFS_SRC_FS_SERVER_H_
@@ -46,11 +46,6 @@ class CacheControl {
   // Flush dirty data and stop caching `file`; subsequent I/O on open handles
   // passes through to the server.
   virtual void DisableCaching(FileId file, SimTime now) = 0;
-  // Caching for `file` is allowed again (modified-Sprite / token policies).
-  virtual void EnableCaching(FileId file, SimTime now) = 0;
-  // Token recall: flush dirty data; if `invalidate`, also drop cached blocks
-  // (the client lost read permission).
-  virtual void RecallToken(FileId file, SimTime now, bool invalidate) = 0;
   // The file's contents were destroyed (delete/truncate by another client):
   // drop cached blocks, discarding dirty data without writing it back.
   virtual void DiscardFile(FileId file, SimTime now) = 0;
@@ -72,8 +67,7 @@ class Server {
   // flat vectors sorted by client id: a file is rarely open on more than a
   // couple of clients, so a sorted vector beats a std::map node per client,
   // and ascending order gives the consistency engine its deterministic
-  // callback order (DisableCaching/EnableCaching/RecallToken fire in
-  // client-id order).
+  // callback order (DisableCaching fires in client-id order).
   struct OpenCount {
     ClientId client = 0;
     int readers = 0;
@@ -90,8 +84,7 @@ class Server {
     SimDuration latency = 0;
   };
 
-  Server(ServerId id, const ServerConfig& config, const DiskConfig& disk_config,
-         ConsistencyPolicy policy);
+  Server(ServerId id, const ServerConfig& config, const DiskConfig& disk_config);
 
   ServerId id() const { return id_; }
 
@@ -145,9 +138,9 @@ class Server {
   // Server-side cleaner tick: writes aged dirty cache blocks to disk.
   void CleanerTick(SimTime now);
 
-  // Forgets all open-file state for a crashed client: its opens vanish,
-  // which may end concurrent write-sharing (re-enabling caching for the
-  // survivors), and it can no longer be the last writer.
+  // Forgets all open-file state for a crashed client: its opens vanish and
+  // it can no longer be the last writer. A file whose write-sharing the
+  // crash ends stays uncacheable until the survivors close it.
   void ClientCrashed(ClientId client, SimTime now);
 
   // --- Crash recovery --------------------------------------------------------
@@ -337,7 +330,6 @@ class Server {
   // the --shard-report table). Walks the metadata map; call at reporting
   // granularity, not per operation.
   int64_t HomedBytes() const;
-  ConsistencyPolicy policy() const { return policy_; }
   int open_state_count() const { return static_cast<int>(open_states_.size()); }
 
  private:
@@ -363,23 +355,17 @@ class Server {
   // Merges `opens` into the open-state table on a new home, without
   // callbacks. A migration passes the old home's cacheable bit; a fail-over
   // passes none and mirrors what the failed primary had enforced: cacheable
-  // unless write-shared, and always under kToken.
+  // unless write-shared.
   void InstallOpens(FileId file, const std::vector<OpenCount>& opens,
                     std::optional<bool> cacheable);
-  // Applies the policy-specific conflict handling after `client` registered
-  // an open (or recovery reopen) of `file`: cache disabling or token
-  // recalls. `count` distinguishes real opens (Table 10 counters) from
-  // recovery reopens (not new opens). `reply` may be null.
-  void EnforceSharing(FileId file, OpenState& state, ClientId client, bool writer_open,
-                      bool count, SimTime now, OpenReply* reply);
+  // Disables caching on every client once an open (or recovery reopen)
+  // makes `file` write-shared. `count` distinguishes real opens (Table 10
+  // counters) from recovery reopens (not new opens). `reply` may be null.
+  void EnforceSharing(FileId file, OpenState& state, bool count, SimTime now, OpenReply* reply);
   CacheControl* ControlFor(ClientId client) const;
   // If a client other than `caller` may hold dirty data for `file`, tell it
   // to discard (the contents were destroyed).
   void DiscardRemoteDirtyData(FileId file, FileMeta& meta, ClientId caller, SimTime now);
-  // Re-enables caching after `state`'s opens shrank (close or client
-  // crash), if the policy allows it: kSpriteModified once write sharing
-  // ends, otherwise only when every client has closed.
-  void MaybeReenableCaching(FileId file, OpenState& state, SimTime now);
   // Server cache access backing a transfer of `bytes` at `block` of `file`;
   // returns disk time incurred (0 on a server-cache hit).
   SimDuration TouchServerCache(FileId file, int64_t block, bool write, int64_t bytes,
@@ -398,7 +384,6 @@ class Server {
   }
 
   ServerId id_;
-  ConsistencyPolicy policy_;
   uint64_t epoch_ = 1;
   // Observability (null when disabled).
   Observability* obs_ = nullptr;

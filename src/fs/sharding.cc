@@ -36,24 +36,13 @@ class HashSharder final : public Sharder {
 
 class RangeSharder final : public Sharder {
  public:
-  RangeSharder(int num_servers, std::vector<FileId> splits)
-      : Sharder(ShardingPolicy::kRange, num_servers), splits_(std::move(splits)) {
-    if (splits_.empty()) {
-      // Uniform partition of [0, kDefaultRangeSpan); the last server also
-      // owns everything at or above the span.
-      splits_.reserve(static_cast<size_t>(num_servers) - 1);
-      for (int i = 1; i < num_servers; ++i) {
-        splits_.push_back(kDefaultRangeSpan / static_cast<FileId>(num_servers) *
-                          static_cast<FileId>(i));
-      }
-    }
-    if (splits_.size() != static_cast<size_t>(num_servers) - 1) {
-      throw std::invalid_argument("RangeSharder: need exactly num_servers - 1 split points");
-    }
-    for (size_t i = 1; i < splits_.size(); ++i) {
-      if (splits_[i] <= splits_[i - 1]) {
-        throw std::invalid_argument("RangeSharder: split points must be strictly increasing");
-      }
+  // Uniform partition of [0, kDefaultRangeSpan); the last server also owns
+  // everything at or above the span.
+  explicit RangeSharder(int num_servers) : Sharder(ShardingPolicy::kRange, num_servers) {
+    splits_.reserve(static_cast<size_t>(num_servers) - 1);
+    for (int i = 1; i < num_servers; ++i) {
+      splits_.push_back(kDefaultRangeSpan / static_cast<FileId>(num_servers) *
+                        static_cast<FileId>(i));
     }
   }
 
@@ -163,17 +152,13 @@ ServerId Sharder::ServerFor(FileId file) const {
 }
 
 std::unique_ptr<Sharder> MakeSharder(const ShardingConfig& config, int num_servers) {
-  if (config.policy != ShardingPolicy::kRange && !config.range_splits.empty()) {
-    throw std::invalid_argument(
-        "MakeSharder: range_splits are only meaningful with the range policy");
-  }
   switch (config.policy) {
     case ShardingPolicy::kModulo:
       return std::make_unique<ModuloSharder>(num_servers);
     case ShardingPolicy::kHash:
       return std::make_unique<HashSharder>(num_servers);
     case ShardingPolicy::kRange:
-      return std::make_unique<RangeSharder>(num_servers, config.range_splits);
+      return std::make_unique<RangeSharder>(num_servers);
     case ShardingPolicy::kDirAffinity:
       return std::make_unique<DirAffinitySharder>(num_servers);
   }

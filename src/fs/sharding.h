@@ -11,8 +11,9 @@
 //                    paper table is pinned to it);
 //   * kHash        — splitmix64 over the FileId, the classic decluster-
 //                    everything placement;
-//   * kRange       — contiguous FileId ranges with configurable split
-//                    points, the directory-server / volume style;
+//   * kRange       — contiguous FileId ranges, a uniform split of
+//                    [0, kDefaultRangeSpan): the directory-server / volume
+//                    style;
 //   * kDirAffinity — a file's home server follows its parent directory in
 //                    the synthetic workload's namespace, so a user's
 //                    directory, mailbox, and working files co-locate (the
@@ -106,15 +107,12 @@ class Sharder {
   int num_servers_;
 };
 
-// Builds the sharder `config` asks for. kRange validates the split points
-// (strictly increasing, exactly num_servers - 1 of them) and derives uniform
-// defaults over [0, kDefaultRangeSpan) when none are given; other policies
-// reject a non-empty split list outright. Throws std::invalid_argument on
-// bad configs.
+// Builds the sharder `config` asks for. Throws std::invalid_argument when
+// num_servers <= 0.
 std::unique_ptr<Sharder> MakeSharder(const ShardingConfig& config, int num_servers);
 
-// The id span the default kRange split points partition uniformly. Ids at
-// or above the span (deep temporary files) belong to the last server.
+// The id span kRange partitions uniformly. Ids at or above the span (deep
+// temporary files) belong to the last server.
 inline constexpr FileId kDefaultRangeSpan = 2 * FileIdLayout::kTempBase;
 
 // --- Placement / load ledger -------------------------------------------------

@@ -215,7 +215,8 @@ CASES = {
         Run("text", "--text --rpc-ledger --metrics --metrics-out $metrics --trace-out $trace "
                     "$dir/trace.txt", same_as="binary",
             has={"metrics": ["# sprite-metrics v2", "final_partial=1"]},
-            lacks={"metrics": r"sprite-metrics v(?!2)"},
+            lacks={"metrics": r"sprite-metrics v(?!2)|latency rpc\.(getattr|page-|reopen|"
+                              r"recall-dirty|cache-|token-|discard-file|shadow-)"},
             spans=[Span(kind, cat="rpc.replay")
                    for kind in ("open", "close", "read-block", "write-block")],
             tracks={"rpc.calls": {9999}}),

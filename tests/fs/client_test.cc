@@ -12,8 +12,7 @@ namespace {
 class ClientTest : public ::testing::Test {
  protected:
   ClientTest() {
-    server_ = std::make_unique<Server>(0, ServerConfig{}, DiskConfig{},
-                                       ConsistencyPolicy::kSprite);
+    server_ = std::make_unique<Server>(0, ServerConfig{}, DiskConfig{});
     ClientConfig config;
     config.memory_bytes = 2 * kMegabyte;  // small, to exercise eviction
     config.cache.min_blocks = 4;
@@ -133,8 +132,9 @@ TEST_F(ClientTest, AppendOpensAtEnd) {
 
 TEST_F(ClientTest, WriteFetchOnPartialColdBlock) {
   MakeFile(7, 2 * kBlockSize, 0);
-  // New client cache state: invalidate to simulate a cold cache.
-  client_->RecallToken(7, 1, /*invalidate=*/true);
+  // Cold cache: with no handle open, disabling caching writes the dirty
+  // blocks back and drops them.
+  client_->DisableCaching(7, 1);
   auto open = client_->Open(1, 7, OpenMode::kReadWrite, OpenDisposition::kNormal, false, 2);
   client_->Seek(open.handle, 100, 2);
   client_->Write(open.handle, 50, 2);  // partial write inside existing block
@@ -146,7 +146,7 @@ TEST_F(ClientTest, WriteFetchOnPartialColdBlock) {
 
 TEST_F(ClientTest, NoWriteFetchForWholeBlockOrAppend) {
   MakeFile(7, kBlockSize, 0);
-  client_->RecallToken(7, 1, /*invalidate=*/true);
+  client_->DisableCaching(7, 1);
   auto open = client_->Open(1, 7, OpenMode::kWrite, OpenDisposition::kAppend, false, 2);
   client_->Write(open.handle, 100, 2);  // append: block beyond old size
   client_->Close(open.handle, 2);
@@ -222,16 +222,6 @@ TEST_F(ClientTest, DisableCachingForcesPassThrough) {
   EXPECT_EQ(CountRecords(RecordKind::kSharedRead), 1);
   EXPECT_EQ(CountRecords(RecordKind::kSharedWrite), 1);
   EXPECT_EQ(client_->traffic_counters().file_read_shared, 100);
-}
-
-TEST_F(ClientTest, EnableCachingRestoresCaching) {
-  MakeFile(7, 8192, 0);
-  auto open = client_->Open(1, 7, OpenMode::kRead, OpenDisposition::kNormal, false, 1);
-  client_->DisableCaching(7, 1);
-  client_->EnableCaching(7, 2);
-  client_->Read(open.handle, 100, 3);
-  client_->Close(open.handle, 4);
-  EXPECT_EQ(server_->counters().shared_read_bytes, 0);
 }
 
 TEST_F(ClientTest, RecallDirtyDataFlushes) {

@@ -45,16 +45,6 @@ TEST(ClusterTest, TraceCollectsAcrossClients) {
   EXPECT_TRUE(IsTimeOrdered(trace));
 }
 
-TEST(ClusterTest, TracingCanBeDisabled) {
-  EventQueue queue;
-  ClusterConfig config = SmallCluster();
-  config.tracing_enabled = false;
-  Cluster cluster(config, queue);
-  auto open = cluster.client(0).Open(1, 7, OpenMode::kWrite, OpenDisposition::kNormal, false, 0);
-  cluster.client(0).Close(open.handle, 0);
-  EXPECT_TRUE(cluster.trace().empty());
-}
-
 TEST(ClusterTest, CleanerDaemonWritesBackAfterDelay) {
   EventQueue queue;
   Cluster cluster(SmallCluster(), queue);

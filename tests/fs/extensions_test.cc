@@ -18,8 +18,7 @@ class ExtensionsTest : public ::testing::Test {
     config.memory_bytes = 4 * kMegabyte;
     config.cache.min_blocks = 4;
     config.vm_floor_fraction = 0.0;
-    server_ = std::make_unique<Server>(0, ServerConfig{}, DiskConfig{},
-                                       ConsistencyPolicy::kSprite);
+    server_ = std::make_unique<Server>(0, ServerConfig{}, DiskConfig{});
     client_ = std::make_unique<Client>(
         0, config, [this](FileId) { return ServerStub(0, *server_, transport_); }, nullptr,
         &handles_);

@@ -115,14 +115,14 @@ TEST(SegmentLogTest, ReadCostsSeekPlusTransfer) {
 TEST(SegmentLogTest, ServerIntegration) {
   ServerConfig config;
   config.disk_layout = DiskLayout::kLogStructured;
-  Server server(0, config, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server server(0, config, DiskConfig{});
   ASSERT_NE(server.segment_log(), nullptr);
   // Writebacks land in the log.
   server.Writeback(5, 0, kBlockSize, false, 0);
   server.CleanerTick(31 * kSecond);
   EXPECT_EQ(server.segment_log()->user_bytes_written(), kBlockSize);
   // Default layout has no log.
-  Server plain(1, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server plain(1, ServerConfig{}, DiskConfig{});
   EXPECT_EQ(plain.segment_log(), nullptr);
 }
 

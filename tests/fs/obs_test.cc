@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/fs/cluster.h"
 #include "src/fs/counters.h"
@@ -174,9 +175,27 @@ TEST(ObservabilityTest, ReplayedWindowsCoverEveryCall) {
   }
   EXPECT_GT(ledger.TotalCalls(), 0);
   EXPECT_EQ(calls, ledger.TotalCalls());
+  // The first window opens at the first record, not at t = 0, and every
+  // later boundary falls on the one-minute grid a live collector fires on.
+  EXPECT_GT(trace.front().time, kMinute);
+  EXPECT_EQ(series.window(0).start, trace.front().time);
+  for (size_t i = 0; i + 1 < series.size(); ++i) {
+    EXPECT_EQ(series.window(i).end % kMinute, 0) << "window " << i;
+  }
   // The last window closes at the last record, off the one-minute grid.
   EXPECT_NE(trace.back().time % kMinute, 0);
   EXPECT_EQ(series.latest()->end, trace.back().time);
+  // Only the kinds a kernel-call trace can imply have latency recorders.
+  std::vector<std::string> latencies;
+  for (const WindowSample& w : series.latest()->samples) {
+    if (w.name.starts_with("rpc.") && w.name.ends_with(".latency_us")) {
+      latencies.push_back(w.name.substr(4, w.name.size() - 4 - 11));
+    }
+  }
+  EXPECT_EQ(latencies,
+            (std::vector<std::string>{"open", "close", "create", "delete", "truncate",
+                                      "read-block", "write-block", "uncached-read",
+                                      "uncached-write", "read-dir"}));
 }
 
 TEST(ObservabilityTest, FinalPartialWindowOnlyWhenRunLengthNotAMultiple) {

@@ -29,7 +29,7 @@ RpcConfig AsyncRpcConfig() {
 // A bare server + transport pair wired the way the Cluster wires them.
 struct AsyncRig {
   explicit AsyncRig(const RpcConfig& rpc)
-      : transport(NetworkConfig{}, rpc), server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite) {
+      : transport(NetworkConfig{}, rpc), server(0, ServerConfig{}, DiskConfig{}) {
     server.EnableServiceQueue(rpc);
     transport.BindEventQueue(&queue);
     transport.RegisterServer(0, &server);
@@ -141,7 +141,7 @@ TEST(RpcAsyncTest, DepthLimitBoundsResidencyWithoutChangingFifoTiming) {
 }
 
 TEST(RpcAsyncTest, AdmitRequestGivesPriorityAdmissionsTheArrivalSlot) {
-  Server server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server server(0, ServerConfig{}, DiskConfig{});
   server.EnableServiceQueue(AsyncRpcConfig());
   const SimDuration control = AsyncRpcConfig().control_service_time;
   const SimDuration data = AsyncRpcConfig().data_service_time;

@@ -49,8 +49,6 @@ TEST(RpcKindTest, ChargedKindsOccupyTheWire) {
       {RpcKind::kReopen, "reopen", kControl, false, false},
       {RpcKind::kRecallDirty, "recall-dirty", kNoLane, true, true},
       {RpcKind::kCacheDisable, "cache-disable", kNoLane, true, true},
-      {RpcKind::kCacheEnable, "cache-enable", kNoLane, true, true},
-      {RpcKind::kTokenRecall, "token-recall", kNoLane, true, true},
       {RpcKind::kDiscardFile, "discard-file", kNoLane, true, true},
       // Replication shadow traffic is real wire traffic (the cost of running
       // primary/backup is the point of measuring it), yet batchable.
@@ -68,7 +66,7 @@ TEST(RpcKindTest, ChargedKindsOccupyTheWire) {
   async.async = true;
   async.control_service_time = 7;
   async.data_service_time = 11;
-  Server server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server server(0, ServerConfig{}, DiskConfig{});
   server.EnableServiceQueue(async);
   RpcConfig batching;
   batching.batching = true;
@@ -99,8 +97,6 @@ TEST(RpcKindTest, ChargedKindsOccupyTheWire) {
 TEST(RpcKindTest, CallbackKinds) {
   EXPECT_TRUE(RpcKindInfoOf(RpcKind::kRecallDirty).callback());
   EXPECT_TRUE(RpcKindInfoOf(RpcKind::kCacheDisable).callback());
-  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kCacheEnable).callback());
-  EXPECT_TRUE(RpcKindInfoOf(RpcKind::kTokenRecall).callback());
   EXPECT_TRUE(RpcKindInfoOf(RpcKind::kDiscardFile).callback());
   EXPECT_FALSE(RpcKindInfoOf(RpcKind::kOpen).callback());
   EXPECT_FALSE(RpcKindInfoOf(RpcKind::kGetAttr).callback());
@@ -156,7 +152,7 @@ TEST(RpcTransportTest, ResetLedgerClearsEverything) {
 class RpcStubTest : public ::testing::Test {
  protected:
   RpcStubTest()
-      : server_(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite),
+      : server_(0, ServerConfig{}, DiskConfig{}),
         stub_(/*client=*/2, server_, transport_) {}
 
   const RpcStat& stat(RpcKind kind) const { return transport_.ledger().stat(kind); }

@@ -17,12 +17,6 @@ class FakeControl final : public CacheControl {
   void DisableCaching(FileId file, SimTime) override {
     log.push_back("disable:" + std::to_string(file));
   }
-  void EnableCaching(FileId file, SimTime) override {
-    log.push_back("enable:" + std::to_string(file));
-  }
-  void RecallToken(FileId file, SimTime, bool invalidate) override {
-    log.push_back((invalidate ? "token-inval:" : "token-flush:") + std::to_string(file));
-  }
   void DiscardFile(FileId file, SimTime) override {
     log.push_back("discard:" + std::to_string(file));
   }
@@ -32,8 +26,7 @@ class FakeControl final : public CacheControl {
 
 class ServerTest : public ::testing::Test {
  protected:
-  explicit ServerTest(ConsistencyPolicy policy = ConsistencyPolicy::kSprite)
-      : server_(0, ServerConfig{}, DiskConfig{}, policy) {
+  ServerTest() : server_(0, ServerConfig{}, DiskConfig{}) {
     server_.RegisterClient(0, &c0_);
     server_.RegisterClient(1, &c1_);
     server_.RegisterClient(2, &c2_);
@@ -148,50 +141,6 @@ TEST_F(ServerTest, SpriteKeepsUncacheableUntilAllClose) {
   EXPECT_TRUE(fresh.cacheable);
 }
 
-class ServerModifiedTest : public ServerTest {
- protected:
-  ServerModifiedTest() : ServerTest(ConsistencyPolicy::kSpriteModified) {}
-};
-
-TEST_F(ServerModifiedTest, ReenablesWhenSharingEnds) {
-  server_.Open(0, 7, OpenMode::kRead, false, 0);
-  server_.Open(1, 7, OpenMode::kWrite, false, 1);
-  c0_.log.clear();
-  // The writer closes; sharing has ended even though client 0 still has the
-  // file open -> caching is re-enabled immediately.
-  server_.Close(1, 7, OpenMode::kWrite, true, 100, 2);
-  ASSERT_EQ(c0_.log.size(), 1u);
-  EXPECT_EQ(c0_.log[0], "enable:7");
-}
-
-class ServerTokenTest : public ServerTest {
- protected:
-  ServerTokenTest() : ServerTest(ConsistencyPolicy::kToken) {}
-};
-
-TEST_F(ServerTokenTest, FileStaysCacheable) {
-  server_.Open(0, 7, OpenMode::kRead, false, 0);
-  const auto reply = server_.Open(1, 7, OpenMode::kWrite, false, 1);
-  EXPECT_TRUE(reply.cacheable) << "token policy never disables caching";
-  EXPECT_TRUE(reply.caused_write_sharing);
-}
-
-TEST_F(ServerTokenTest, WriteOpenRecallsOtherTokens) {
-  server_.Open(0, 7, OpenMode::kRead, false, 0);
-  server_.Open(1, 7, OpenMode::kWrite, false, 1);
-  ASSERT_EQ(c0_.log.size(), 1u);
-  EXPECT_EQ(c0_.log[0], "token-inval:7");
-}
-
-TEST_F(ServerTokenTest, ReadOpenRecallsOnlyWriteToken) {
-  server_.Open(0, 7, OpenMode::kWrite, false, 0);
-  server_.Open(1, 7, OpenMode::kRead, false, 1);
-  ASSERT_EQ(c0_.log.size(), 1u);
-  EXPECT_EQ(c0_.log[0], "token-flush:7") << "writer keeps its blocks, just flushes";
-  server_.Open(2, 7, OpenMode::kRead, false, 2);
-  EXPECT_EQ(c1_.log.size(), 0u) << "reader-reader needs no recall";
-}
-
 TEST_F(ServerTest, FetchBlockCountsTraffic) {
   server_.CreateFile(7, false, 0);
   const SimDuration t = server_.FetchBlock(7, 0, /*paging=*/false, 0);
@@ -235,7 +184,7 @@ TEST_F(ServerTest, DirectoryReadCounted) {
 TEST(ServerCacheTest, DirtyReplacementReachesDiskAndTheShadowHook) {
   ServerConfig config;
   config.memory_bytes = 16 * kBlockSize;
-  Server server(0, config, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server server(0, config, DiskConfig{});
   std::vector<int64_t> flushed;
   server.SetShadowFlushHook([&flushed](FileId file, int64_t block) {
     EXPECT_EQ(file, 7u);

@@ -139,35 +139,6 @@ TEST(ShardingTest, RangeDefaultSplitsAreMonotone) {
   EXPECT_EQ(sharder->ServerFor(kDefaultRangeSpan + 42), n - 1);
 }
 
-TEST(ShardingTest, RangeHonorsExplicitSplits) {
-  ShardingConfig config;
-  config.policy = ShardingPolicy::kRange;
-  config.range_splits = {100, 200, 300};
-  const auto sharder = MakeSharder(config, 4);
-  EXPECT_EQ(sharder->ServerFor(0), 0);
-  EXPECT_EQ(sharder->ServerFor(99), 0);
-  EXPECT_EQ(sharder->ServerFor(100), 1);  // split points begin the next range
-  EXPECT_EQ(sharder->ServerFor(199), 1);
-  EXPECT_EQ(sharder->ServerFor(200), 2);
-  EXPECT_EQ(sharder->ServerFor(300), 3);
-  EXPECT_EQ(sharder->ServerFor(FileId{1} << 62), 3);
-}
-
-TEST(ShardingTest, RangeRejectsBadSplits) {
-  ShardingConfig config;
-  config.policy = ShardingPolicy::kRange;
-  config.range_splits = {100, 200};  // needs exactly num_servers - 1 = 3
-  EXPECT_THROW(MakeSharder(config, 4), std::invalid_argument);
-  config.range_splits = {100, 100, 200};  // not strictly increasing
-  EXPECT_THROW(MakeSharder(config, 4), std::invalid_argument);
-  config.range_splits = {300, 200, 100};  // decreasing
-  EXPECT_THROW(MakeSharder(config, 4), std::invalid_argument);
-  // Non-range policies must not silently accept split points.
-  config.policy = ShardingPolicy::kModulo;
-  config.range_splits = {100};
-  EXPECT_THROW(MakeSharder(config, 2), std::invalid_argument);
-}
-
 // ---------------- kDirAffinity ------------------------------------------------
 
 TEST(ShardingTest, DirAffinityColocatesFilesWithParentDirectory) {

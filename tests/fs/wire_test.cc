@@ -180,7 +180,7 @@ struct AsyncWireRig {
   explicit AsyncWireRig(const RpcConfig& rpc, const NetworkConfig& net = {})
       : obs(MetricsAndTracing()),
         transport(net, rpc),
-        server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite) {
+        server(0, ServerConfig{}, DiskConfig{}) {
     if (rpc.async) {
       server.EnableServiceQueue(rpc);
     }

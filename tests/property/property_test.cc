@@ -9,6 +9,7 @@
 #include <numeric>
 #include <ostream>
 #include <set>
+#include <vector>
 
 #include "src/consistency/overhead.h"
 #include "src/consistency/polling.h"
@@ -601,6 +602,137 @@ TEST_P(ConsistencyProperty, ReadsAlwaysObserveLatestCommittedSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConsistencyProperty, ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// ---------- Sprite's write-sharing rule under random schedules ---------------
+
+// Random opens, closes, one-byte reads and writes and client crashes on
+// three files, checked against a model of each file's open list. A file
+// turns uncacheable at the open that makes it write-shared (two or more
+// clients, at least one of them a writer) and stays uncacheable until its
+// open list empties, even after closes or a crash end the sharing: every
+// read or write passes through to the server exactly while that holds. A
+// crash that ends the sharing while survivors still hold the file is where
+// a protocol that re-enables caching once sharing ends would differ.
+class WriteSharingProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WriteSharingProperty, IoPassesThroughFromSharingUntilTheLastClose) {
+  constexpr int kClients = 5;
+  constexpr int kFiles = 3;
+  constexpr FileId kFirstFile = 10;
+  EventQueue queue;
+  ClusterConfig config;
+  config.num_clients = kClients;
+  config.num_servers = 2;
+  config.client.memory_bytes = 4 * kMegabyte;
+  Cluster cluster(config, queue);
+  Rng rng(GetParam() * 7919 + 11);
+
+  SimTime now = 0;
+  for (int f = 0; f < kFiles; ++f) {
+    Client& client = cluster.client(static_cast<ClientId>(f));
+    auto open = client.Open(1, kFirstFile + f, OpenMode::kWrite, OpenDisposition::kNormal,
+                            false, now);
+    client.Write(open.handle, 2 * kBlockSize, now);
+    client.Close(open.handle, now);
+  }
+
+  struct Held {
+    ClientId client;
+    FileId file;
+    bool writer;
+    HandleId handle;
+  };
+  struct Opens {
+    int readers = 0;
+    int writers = 0;
+  };
+  struct FileModel {
+    std::map<ClientId, Opens> opens;
+    bool uncacheable = false;
+    // A crash ended the write-sharing; cleared with the open list.
+    bool crash_ended_sharing = false;
+    bool write_shared() const {
+      return opens.size() >= 2 && std::any_of(opens.begin(), opens.end(), [](const auto& o) {
+               return o.second.writers > 0;
+             });
+    }
+  };
+  std::vector<Held> held;
+  std::map<FileId, FileModel> model;
+  int64_t passed_through = 0;
+  int64_t cached = 0;
+  int64_t checks_after_crash = 0;  // survivor I/O after a crash ended sharing
+
+  for (int step = 0; step < 500; ++step) {
+    now += 1 + static_cast<SimTime>(rng.NextBelow(kSecond));
+    const uint64_t action = rng.NextBelow(100);
+    if (held.empty() || (action < 20 && held.size() < 8)) {
+      const Held h{static_cast<ClientId>(rng.NextBelow(kClients)),
+                   kFirstFile + rng.NextBelow(kFiles), rng.NextBool(0.4), 0};
+      const auto open = cluster.client(h.client).Open(
+          1, h.file, h.writer ? OpenMode::kWrite : OpenMode::kRead, OpenDisposition::kNormal,
+          false, now);
+      held.push_back(h);
+      held.back().handle = open.handle;
+      FileModel& m = model[h.file];
+      Opens& o = m.opens[h.client];
+      ++(h.writer ? o.writers : o.readers);
+      m.uncacheable = m.uncacheable || m.write_shared();
+    } else if (action < 45) {
+      const size_t i = rng.NextBelow(held.size());
+      const Held h = held[i];
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      cluster.client(h.client).Close(h.handle, now);
+      FileModel& m = model[h.file];
+      Opens& o = m.opens[h.client];
+      --(h.writer ? o.writers : o.readers);
+      if (o.readers == 0 && o.writers == 0) {
+        m.opens.erase(h.client);
+      }
+      m.uncacheable = m.uncacheable && !m.opens.empty();
+      m.crash_ended_sharing = m.crash_ended_sharing && !m.opens.empty();
+    } else if (action < 95) {
+      const Held& h = held[rng.NextBelow(held.size())];
+      Client& client = cluster.client(h.client);
+      size_t before = 0;
+      if (h.writer) {
+        before = cluster.trace().size();
+        client.Write(h.handle, 1, now);
+      } else {
+        client.Seek(h.handle, 0, now);  // so the read has a byte to return
+        before = cluster.trace().size();
+        client.Read(h.handle, 1, now);
+      }
+      const bool passed = std::any_of(
+          cluster.trace().begin() + static_cast<std::ptrdiff_t>(before), cluster.trace().end(),
+          [](const Record& r) {
+            return r.kind == RecordKind::kSharedRead || r.kind == RecordKind::kSharedWrite;
+          });
+      const FileModel& m = model[h.file];
+      ASSERT_EQ(passed, m.uncacheable) << "step " << step << ": client " << h.client
+                                       << (h.writer ? " wrote" : " read") << " file " << h.file;
+      ++(passed ? passed_through : cached);
+      checks_after_crash += m.crash_ended_sharing && !m.write_shared() ? 1 : 0;
+    } else {
+      const ClientId client = held[rng.NextBelow(held.size())].client;
+      cluster.CrashClient(client, now);
+      std::erase_if(held, [client](const Held& h) { return h.client == client; });
+      for (auto& [file, m] : model) {
+        (void)file;
+        const bool was_shared = m.write_shared();
+        m.opens.erase(client);
+        m.uncacheable = m.uncacheable && !m.opens.empty();
+        m.crash_ended_sharing = m.uncacheable && (m.crash_ended_sharing ||
+                                                  (was_shared && !m.write_shared()));
+      }
+    }
+  }
+  EXPECT_GT(passed_through, 0);
+  EXPECT_GT(cached, 0);
+  EXPECT_GT(checks_after_crash, 0) << "no survivor I/O after a crash ended write-sharing";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WriteSharingProperty, ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace sprite

@@ -23,7 +23,7 @@ randomized_sweep() {
   # Property churn sequences and same-seed cluster runs, under the
   # sanitizers: any nondeterminism or sanitizer report fails the pass.
   ctest --test-dir "${build_dir}" --output-on-failure --repeat until-fail:3 \
-    -R "RebalanceSequenceProperty|PlacementChurnProperty|ShadowConservationProperty|SpanLogProperty|SameSeedRebalancedRuns|SameSeedRunsProduceIdenticalStreams|Deterministic"
+    -R "RebalanceSequenceProperty|PlacementChurnProperty|ShadowConservationProperty|WriteSharingProperty|SpanLogProperty|SameSeedRebalancedRuns|SameSeedRunsProduceIdenticalStreams|Deterministic"
 }
 
 perf_gate() {
