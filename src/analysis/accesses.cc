@@ -1,5 +1,6 @@
 #include "src/analysis/accesses.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace sprite {
@@ -62,6 +63,9 @@ std::vector<Access> ExtractAccesses(const TraceLog& log) {
   };
   std::unordered_map<uint64_t, OpenAccess> open_handles;
   std::vector<Access> accesses;
+  // One access per close that matches an open: at most one per close.
+  accesses.reserve(static_cast<size_t>(std::count_if(
+      log.begin(), log.end(), [](const Record& r) { return r.kind == RecordKind::kClose; })));
 
   auto append_run = [](OpenAccess& oa, const Record& r) {
     if (r.run_read_bytes > 0 || r.run_write_bytes > 0) {

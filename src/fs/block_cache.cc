@@ -204,8 +204,7 @@ bool BlockCache::Lookup(BlockKey key, SimTime now) {
   return true;
 }
 
-BlockCache::Entry* BlockCache::InsertNew(BlockKey key, SimTime now,
-                                         const WritebackFn& writeback) {
+BlockCache::Entry* BlockCache::InsertNew(BlockKey key, SimTime now, WritebackFn writeback) {
   while (block_count() >= limit_blocks_ && lru_tail_ != nullptr) {
     EvictBlock(lru_tail_, now, CleanReason::kReplacement, ReplaceReason::kForFileBlock,
                writeback);
@@ -257,7 +256,7 @@ bool BlockCache::IsDirty(BlockKey key) const {
 }
 
 BlockCache::Entry* BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason reason,
-                                          const WritebackFn& writeback) {
+                                          WritebackFn writeback) {
   if (counters_ != nullptr) {
     const int r = static_cast<int>(reason);
     ++counters_->cleaned[r];
@@ -317,7 +316,7 @@ int64_t BlockCache::EraseFile(uint64_t file) {
 }
 
 void BlockCache::EvictBlock(Entry* entry, SimTime now, CleanReason reason,
-                            ReplaceReason replace_reason, const WritebackFn& writeback) {
+                            ReplaceReason replace_reason, WritebackFn writeback) {
   if (entry->dirty) {
     entry = CleanBlock(entry, now, reason, writeback);
     if (entry == nullptr) {
@@ -338,8 +337,7 @@ void BlockCache::EvictBlock(Entry* entry, SimTime now, CleanReason reason,
 }
 
 std::pair<int64_t, int64_t> BlockCache::FlushFile(uint64_t file, SimTime now,
-                                                  CleanReason reason,
-                                                  const WritebackFn& writeback) {
+                                                  CleanReason reason, WritebackFn writeback) {
   int64_t blocks = 0;
   int64_t bytes = 0;
   auto fit = files_.find(file);
@@ -418,8 +416,8 @@ std::vector<uint64_t> BlockCache::DirtyFiles() const {
   return std::vector<uint64_t>(dirty_files_.begin(), dirty_files_.end());
 }
 
-void BlockCache::ForEachDirtyBlock(
-    uint64_t file, const std::function<void(int64_t block, int64_t extent)>& fn) const {
+void BlockCache::ForEachDirtyBlock(uint64_t file,
+                                   FunctionRef<void(int64_t block, int64_t extent)> fn) const {
   auto fit = files_.find(file);
   if (fit == files_.end() || fit->second.dirty.empty()) {
     return;
@@ -476,7 +474,7 @@ void BlockCache::DemoteToLruTail(BlockKey key) {
   LruPushBack(entry);
 }
 
-std::pair<int64_t, int64_t> BlockCache::CrashReset(const WritebackFn& nvram_recovery) {
+std::pair<int64_t, int64_t> BlockCache::CrashReset(WritebackFn nvram_recovery) {
   // Ascending (file, block) order, so NVRAM recovery RPCs go out in an order
   // that does not depend on hash-table internals. A copy: the recovery
   // writebacks may re-enter the cache.

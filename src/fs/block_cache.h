@@ -27,11 +27,13 @@
 // blocks are tracked in a small ordered set, so the 5-second cleaner looks
 // only at dirty blocks of dirty files instead of the whole cache.
 //
-// Writeback callbacks may re-enter the cache: crash recovery runs nested
-// inside whichever RPC sees a server reboot, including a writeback, and can
-// drop the very file being flushed. Every erasure bumps a counter, so a
-// flush compares one integer after each writeback call and re-validates
-// its position only when blocks actually vanished.
+// Every callback parameter is a FunctionRef: the caller's lambda, invoked in
+// place and never stored, so inserting, writing and cleaning a block
+// allocate nothing. Writeback callbacks may re-enter the cache: crash
+// recovery runs nested inside whichever RPC sees a server reboot, including
+// a writeback, and can drop the very file being flushed. Every erasure
+// bumps a counter, so a flush compares one integer after each writeback
+// call and re-validates its position only when blocks actually vanished.
 
 #ifndef SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
 #define SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
@@ -46,6 +48,7 @@
 
 #include "src/fs/config.h"
 #include "src/fs/counters.h"
+#include "src/util/function_ref.h"
 #include "src/util/units.h"
 
 namespace sprite {
@@ -70,8 +73,9 @@ class BlockCache {
   BlockCache(const CacheConfig& config, CacheCounters* counters);
 
   // Called when the cache must push a dirty block to the server:
-  // (key, bytes) where bytes is the dirty extent of the block.
-  using WritebackFn = std::function<void(BlockKey key, int64_t bytes)>;
+  // (key, bytes) where bytes is the dirty extent of the block. Empty means
+  // the block leaves without a writeback.
+  using WritebackFn = FunctionRef<void(BlockKey key, int64_t bytes)>;
 
   // --- Size management -----------------------------------------------------
   int64_t block_count() const { return static_cast<int64_t>(pool_.size() - free_.size()); }
@@ -131,8 +135,7 @@ class BlockCache {
   // Visits every dirty block of `file` in ascending block order with its
   // dirty extent, without touching LRU or dirty state. Replication uses this
   // to rebuild a standby's shadow from the live primary's cache.
-  void ForEachDirtyBlock(uint64_t file,
-                         const std::function<void(int64_t block, int64_t extent)>& fn) const;
+  void ForEachDirtyBlock(uint64_t file, FunctionRef<void(int64_t block, int64_t extent)> fn) const;
 
   // The version last reported/adopted for `file`, or 0 if unknown.
   uint64_t CachedVersion(uint64_t file) const;
@@ -185,7 +188,7 @@ class BlockCache {
   // is LOST unless `nvram_recovery` is provided, in which case it is pushed
   // through it (non-volatile cache memory surviving the crash) in ascending
   // (file, block) order. Returns {lost_bytes, recovered_bytes}.
-  std::pair<int64_t, int64_t> CrashReset(const WritebackFn& nvram_recovery);
+  std::pair<int64_t, int64_t> CrashReset(WritebackFn nvram_recovery);
 
   const CacheConfig& config() const { return config_; }
 
@@ -255,7 +258,7 @@ class BlockCache {
   void TouchLru(Entry* entry, SimTime now);
   // Inserts absent `key` as the most recent clean block, first evicting LRU
   // blocks down to the limit.
-  Entry* InsertNew(BlockKey key, SimTime now, const WritebackFn& writeback);
+  Entry* InsertNew(BlockKey key, SimTime now, WritebackFn writeback);
   // Dirty-flag transitions route through these so the per-file dirty lists
   // and the dirty-file set stay exact.
   void MarkDirty(Entry* entry, SimTime now);
@@ -263,14 +266,14 @@ class BlockCache {
   // Writes the block back (if dirty) and erases it, unless the writeback
   // call itself erased it. `reason` applies when dirty.
   void EvictBlock(Entry* entry, SimTime now, CleanReason reason,
-                  ReplaceReason replace_reason, const WritebackFn& writeback);
+                  ReplaceReason replace_reason, WritebackFn writeback);
   // Writes a dirty block back, then marks it clean. Returns the entry, or
   // nullptr if the writeback call re-entered the cache and erased it.
-  Entry* CleanBlock(Entry* entry, SimTime now, CleanReason reason, const WritebackFn& writeback);
+  Entry* CleanBlock(Entry* entry, SimTime now, CleanReason reason, WritebackFn writeback);
   // Writes back every dirty block of `file` in ascending block order.
   // Returns {blocks, bytes} written.
   std::pair<int64_t, int64_t> FlushFile(uint64_t file, SimTime now, CleanReason reason,
-                                        const WritebackFn& writeback);
+                                        WritebackFn writeback);
   void EraseEntry(Entry* entry);
   // Erases every block of `file` and its FileState. Returns the dirty bytes
   // that were resident.

@@ -1,7 +1,6 @@
 #include "src/fs/client.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -91,15 +90,15 @@ void Client::Emit(Record record) {
   }
 }
 
-BlockCache::WritebackFn Client::WritebackTo(bool paging, SimTime now) {
+auto Client::WritebackTo(SimTime now) {
   // Successive writebacks from one eviction/clean pass issue back-to-back
   // in event-driven mode (IssueAt threads the accumulated latency through);
   // in sync mode IssueAt ignores the offset and this is byte-identical to
-  // issuing everything at `now`.
-  auto offset = std::make_shared<SimDuration>(0);
-  return [this, paging, now, offset](BlockKey key, int64_t bytes) {
-    *offset += ServerFor(key.file).Writeback(key.file, key.index, bytes, paging,
-                                             IssueAt(now, *offset));
+  // issuing everything at `now`. Each call site hands the lambda straight
+  // to the cache, so its offset spans exactly one pass.
+  return [this, now, offset = SimDuration{0}](BlockKey key, int64_t bytes) mutable {
+    offset += ServerFor(key.file).Writeback(key.file, key.index, bytes, /*paging=*/false,
+                                            IssueAt(now, offset));
   };
 }
 
@@ -274,7 +273,7 @@ SimDuration Client::Read(HandleId handle, int64_t bytes, SimTime now) {
         }
         if (!bypass) {
           EnsureCacheRoom(now);
-          cache_.InsertClean(key, now, WritebackTo(/*paging=*/false, now));
+          cache_.InsertClean(key, now, WritebackTo(now));
         }
       }
     }
@@ -298,7 +297,7 @@ SimDuration Client::Read(HandleId handle, int64_t bytes, SimTime now) {
         if (!cache_.Contains(key)) {
           ServerFor(of.file).FetchBlock(of.file, b, /*paging=*/false, IssueAt(now, latency));
           EnsureCacheRoom(now);
-          cache_.InsertPrefetched(key, now, WritebackTo(/*paging=*/false, now));
+          cache_.InsertPrefetched(key, now, WritebackTo(now));
         }
       }
     }
@@ -354,10 +353,10 @@ SimDuration Client::Write(HandleId handle, int64_t bytes, SimTime now) {
           }
         }
         EnsureCacheRoom(now);
-        cache_.InsertClean(key, now, WritebackTo(/*paging=*/false, now));
+        cache_.InsertClean(key, now, WritebackTo(now));
       }
       EnsureCacheRoom(now);
-      cache_.Write(key, now, write_end - block_start, WritebackTo(/*paging=*/false, now));
+      cache_.Write(key, now, write_end - block_start, WritebackTo(now));
     }
   }
   of.offset += bytes;
@@ -400,7 +399,7 @@ SimDuration Client::Fsync(HandleId handle, SimTime now) {
     return 0;
   }
   OpenFile& of = *live;
-  cache_.CleanFile(of.file, now, CleanReason::kFsync, WritebackTo(/*paging=*/false, now));
+  cache_.CleanFile(of.file, now, CleanReason::kFsync, WritebackTo(now));
   Record r;
   r.kind = RecordKind::kFsync;
   r.time = now;
@@ -584,7 +583,7 @@ SimDuration Client::PageFault(PageKind kind, FileId backing_file, int64_t page_i
     const bool take_from_cache = cache_age >= 0 && cache_age > vm_age;
     bool got_page = false;
     if (take_from_cache) {
-      got_page = cache_.ReleaseLruToVm(now, WritebackTo(/*paging=*/false, now));
+      got_page = cache_.ReleaseLruToVm(now, WritebackTo(now));
     }
     if (!got_page) {
       const Vm::Evicted evicted = vm_.EvictLru();
@@ -596,7 +595,7 @@ SimDuration Client::PageFault(PageKind kind, FileId backing_file, int64_t page_i
         }
       } else {
         // VM is at its floor: the cache must give up the page after all.
-        cache_.ReleaseLruToVm(now, WritebackTo(/*paging=*/false, now));
+        cache_.ReleaseLruToVm(now, WritebackTo(now));
       }
     }
   }
@@ -618,7 +617,7 @@ SimDuration Client::PageFault(PageKind kind, FileId backing_file, int64_t page_i
         // goes through the file cache and the VM copy is made from there,
         // so re-running the program later hits in the cache.
         EnsureCacheRoom(now);
-        cache_.InsertClean(key, now, WritebackTo(/*paging=*/false, now));
+        cache_.InsertClean(key, now, WritebackTo(now));
       }
       // Code pages are not intentionally cached (the VM system keeps them).
     }
@@ -648,17 +647,15 @@ int64_t Client::Crash(SimTime now) {
   ++cache_counters_.crashes;
   // NVRAM preserves dirty cache contents across the crash; recovery pushes
   // them to the server before normal operation resumes.
-  BlockCache::WritebackFn recovery;
-  if (config_.nvram) {
-    auto offset = std::make_shared<SimDuration>(0);
-    recovery = [this, now, offset](BlockKey key, int64_t bytes) {
-      cache_counters_.bytes_recovered_from_nvram += bytes;
-      cache_counters_.bytes_written_to_server += bytes;
-      *offset += ServerFor(key.file).Writeback(key.file, key.index, bytes, /*paging=*/false,
-                                               IssueAt(now, *offset));
-    };
-  }
-  const auto [lost, recovered] = cache_.CrashReset(recovery);
+  SimDuration offset = 0;
+  const auto recover = [&](BlockKey key, int64_t bytes) {
+    cache_counters_.bytes_recovered_from_nvram += bytes;
+    cache_counters_.bytes_written_to_server += bytes;
+    offset += ServerFor(key.file).Writeback(key.file, key.index, bytes, /*paging=*/false,
+                                            IssueAt(now, offset));
+  };
+  const auto [lost, recovered] =
+      cache_.CrashReset(config_.nvram ? BlockCache::WritebackFn(recover) : nullptr);
   (void)recovered;
   cache_counters_.bytes_lost_in_crashes += lost;
   vm_.CrashReset();

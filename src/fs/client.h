@@ -185,7 +185,9 @@ class Client final : public CacheControl {
   // following the preference rule: take a VM page only if one has been idle
   // for 20 minutes; otherwise the cache will evict its own LRU block.
   void EnsureCacheRoom(SimTime now);
-  BlockCache::WritebackFn WritebackTo(bool paging, SimTime now);
+  // The writeback callback for one eviction or clean pass starting at
+  // `now`: a lambda, passed straight to the cache (defined in client.cc).
+  auto WritebackTo(SimTime now);
 
   // Common pass-through helpers.
   SimDuration UncacheableRead(OpenFile& of, int64_t bytes, SimTime now, HandleId handle);

@@ -41,9 +41,6 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
   }
   stale_tracker_.AttachObservability(obs_.get());
   transport_->SetStaleTracker(&stale_tracker_);
-  // Async mode schedules request-arrival/completion events here; in sync
-  // mode the transport never touches the queue.
-  transport_->BindEventQueue(&queue_);
   if (obs_ != nullptr && obs_->metrics_enabled()) {
     server_crash_counter_ = obs_->metrics().AddCounter("recovery.server_crashes");
     server_crash_dirty_lost_ = obs_->metrics().AddCounter("recovery.server_dirty_lost_bytes");
@@ -117,7 +114,7 @@ void Cluster::NewServer() {
   if (config_.rpc.async) {
     // Before AttachObservability, so the queue instruments register in the
     // same deterministic order as the other per-server metrics.
-    server.EnableServiceQueue(config_.rpc);
+    server.EnableServiceQueue(config_.rpc, queue_);
   }
   server.AttachObservability(obs_.get());
   transport_->RegisterServer(id, &server);

@@ -128,10 +128,10 @@ struct RpcConfig {
 
   // --- Event-driven completion (server service queues) ---------------------
   // When true, RPC completion is event-driven: each wire-occupying request
-  // is admitted into its server's FIFO service queue, the EventQueue fires
-  // arrival/completion events, and concurrent RPCs overlap — a loaded
-  // server accumulates measurable queueing delay, reported as
-  // "server.N.queue_us" / "server.N.queue_depth". The default (false) keeps
+  // is admitted into its server's FIFO service queue and concurrent RPCs
+  // overlap — a loaded server accumulates measurable queueing delay,
+  // reported as "server.N.queue_us" / "server.N.queue_depth" (counted when
+  // read, from the admitted requests' arrival and completion times). The default (false) keeps
   // the synchronous transport so every paper table stays byte-identical.
   bool async = false;
   // Server service (CPU + request handling) time per request, charged only

@@ -374,18 +374,11 @@ void RpcTransport::Serve(CallCharge& c, SimTime arrival) {
   }
   // Reopen traffic during the recovery grace window jumps the queue.
   const bool priority = c.kind == RpcKind::kReopen && GraceUntil(c.server, arrival) > arrival;
+  // Admission schedules no event: the server's record of the visit is what
+  // its depth gauge counts.
   const Server::Admission adm = srv->AdmitRequest(c.kind, arrival, priority);
   c.queue = adm.queue_wait();
   c.service = adm.service;
-  if (queue_ != nullptr) {
-    // The arrival/completion events keep the live queue-depth gauge honest.
-    // They are scheduled whether or not observability is attached, so
-    // obs-on and obs-off runs stay bit-identical; the max() guards bare
-    // transports whose callers pass issue times behind the queue's clock.
-    const SimTime base = queue_->now();
-    queue_->Schedule(std::max(adm.arrival, base), [srv] { srv->RequestArrived(); });
-    queue_->Schedule(std::max(adm.completion(), base), [srv] { srv->RequestCompleted(); });
-  }
   if (c.queue > 0 && obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(c.server), adm.arrival, c.queue,
                         {{"client", c.client}, {"kind", static_cast<int64_t>(c.kind)}});

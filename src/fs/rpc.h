@@ -57,13 +57,14 @@
 // With RpcConfig::async, a request that pays its own exchange and has a
 // service lane is admitted into its server's FIFO service queue
 // (Server::AdmitRequest): it arrives after its wire time, waits behind the
-// requests ahead of it, and holds the lane for its kind's service time. The
-// arrival and completion events go on the bound EventQueue, so concurrent
-// RPCs genuinely overlap and a loaded server accumulates measurable
-// queueing delay ("server.N.queue_us" recorders, "server.N.queue_depth"
-// gauges, "rpc.queued" spans). Reopen traffic during a crashed server's
-// grace window jumps the queue but still occupies the lane, so post-grace
-// traffic backs up behind the storm.
+// requests ahead of it, and holds the lane for its kind's service time, so
+// concurrent RPCs genuinely overlap and a loaded server accumulates
+// measurable queueing delay ("server.N.queue_us" recorders,
+// "server.N.queue_depth" gauges, "rpc.queued" spans). Admission schedules
+// no event: the server counts its live depth from its admitted visits when
+// the gauge is read. Reopen traffic during a crashed server's grace window
+// jumps the queue but still occupies the lane, so post-grace traffic backs
+// up behind the storm.
 
 #ifndef SPRITE_DFS_SRC_FS_RPC_H_
 #define SPRITE_DFS_SRC_FS_RPC_H_
@@ -83,7 +84,6 @@
 #include "src/fs/server.h"
 #include "src/fs/types.h"
 #include "src/obs/observability.h"
-#include "src/sim/event_queue.h"
 #include "src/trace/record.h"
 
 namespace sprite {
@@ -107,9 +107,6 @@ class RpcTransport {
   SimDuration Call(RpcKind kind, ClientId client, ServerId server, int64_t payload_bytes,
                    SimTime now);
 
-  // Binds the cluster's event queue; async mode schedules request-arrival
-  // and completion events on it (sync mode never touches it).
-  void BindEventQueue(EventQueue* queue) { queue_ = queue; }
   // Declares how many servers the owning cluster has. Once set,
   // RegisterServer validates ids against it (and the per-link contention
   // recorders know how many links to register). Bare test harnesses that
@@ -325,9 +322,8 @@ class RpcTransport {
   // Last epoch each client observed from each crashed server.
   std::vector<std::vector<uint64_t>> seen_epochs_;  // [client][server]
   std::vector<ReopenHandler> reopen_handlers_;      // [client]
-  // Async mode: the event queue completions fire on, and the server objects
-  // whose service queues admit requests (both wired by the Cluster).
-  EventQueue* queue_ = nullptr;
+  // Async mode: the server objects whose service queues admit requests
+  // (wired by the Cluster).
   std::vector<Server*> servers_;  // [server]
   // Cluster server count (0 = unset: bare harness, no validation).
   int expected_servers_ = 0;

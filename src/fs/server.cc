@@ -102,9 +102,9 @@ void Server::AttachObservability(Observability* obs) {
     m.AddGauge(prefix + "disk_busy_us", [this] { return disk_.busy_time(); });
     // Service-queue instruments exist only in async transport mode, so
     // sync-mode metrics snapshots are byte-identical to pre-queue output.
-    if (service_queue_enabled_) {
+    if (service_queue_enabled()) {
       queue_wait_rec_ = m.AddLatency(prefix + "queue_us");
-      m.AddGauge(prefix + "queue_depth", [this] { return service_queue_depth_; });
+      m.AddGauge(prefix + "queue_depth", [this] { return QueueDepth(); });
     }
   }
   if (obs_->tracing_enabled()) {
@@ -112,15 +112,15 @@ void Server::AttachObservability(Observability* obs) {
   }
 }
 
-void Server::EnableServiceQueue(const RpcConfig& rpc) {
-  service_queue_enabled_ = true;
+void Server::EnableServiceQueue(const RpcConfig& rpc, const EventQueue& clock) {
+  clock_ = &clock;
   control_service_time_ = rpc.control_service_time;
   data_service_time_ = rpc.data_service_time;
   max_queue_depth_ = rpc.max_queue_depth > 0 ? static_cast<size_t>(rpc.max_queue_depth) : 1;
 }
 
 Server::Admission Server::AdmitRequest(RpcKind kind, SimTime arrival, bool priority) {
-  if (!service_queue_enabled_) {
+  if (!service_queue_enabled()) {
     throw std::logic_error("Server::AdmitRequest: service queue not enabled");
   }
   Admission adm;
@@ -136,31 +136,51 @@ Server::Admission Server::AdmitRequest(RpcKind kind, SimTime arrival, bool prior
     // traffic resumes behind the storm.
     adm.start = arrival;
     busy_until_ = std::max(busy_until_, adm.completion());
-    return adm;
-  }
-  // Slots freed by completions up to the arrival instant.
-  SimTime admitted_at = arrival;
-  while (!inflight_.empty() && inflight_.front() <= admitted_at) {
-    inflight_.pop_front();
-  }
-  if (inflight_.size() >= max_queue_depth_) {
-    // Queue full: the request waits at the client until the completion that
-    // frees its slot. FIFO service means this never delays the start time
-    // (that completion precedes busy_until_); it only bounds residency.
-    admitted_at = inflight_[inflight_.size() - max_queue_depth_];
+  } else {
+    // Slots freed by completions up to the arrival instant.
+    SimTime admitted_at = arrival;
     while (!inflight_.empty() && inflight_.front() <= admitted_at) {
       inflight_.pop_front();
     }
+    if (inflight_.size() >= max_queue_depth_) {
+      // Queue full: the request waits at the client until the completion
+      // that frees its slot. FIFO service means this never delays the start
+      // time (that completion precedes busy_until_); it only bounds
+      // residency.
+      admitted_at = inflight_[inflight_.size() - max_queue_depth_];
+      while (!inflight_.empty() && inflight_.front() <= admitted_at) {
+        inflight_.pop_front();
+      }
+    }
+    adm.start = std::max(admitted_at, busy_until_);
+    busy_until_ = adm.completion();
+    inflight_.push_back(busy_until_);
+    if (queue_wait_rec_ != nullptr) {
+      // Zeros included: an idle server records 0 so a single serial client's
+      // p50/p99 are exactly zero rather than merely unsampled.
+      queue_wait_rec_->Record(adm.queue_wait());
+    }
   }
-  adm.start = std::max(admitted_at, busy_until_);
-  busy_until_ = adm.completion();
-  inflight_.push_back(busy_until_);
-  if (queue_wait_rec_ != nullptr) {
-    // Zeros included: an idle server records 0 so a single serial client's
-    // p50/p99 are exactly zero rather than merely unsampled.
-    queue_wait_rec_->Record(adm.queue_wait());
+  // Drop the visits that ended before now, scanning only when the oldest
+  // has: one scan per admitting instant, however many visits a long read
+  // or writeback burst leaves pending.
+  const SimTime now = clock_->now();
+  if (!visits_.empty() && visits_.front().completion < now) {
+    std::erase_if(visits_, [now](const Visit& v) { return v.completion < now; });
   }
+  // Callers may issue behind the clock (bare harnesses); such a visit
+  // starts at the clock's time.
+  visits_.push_back(
+      Visit{std::max(adm.arrival, now), std::max(adm.completion(), now), clock_->schedule_count()});
   return adm;
+}
+
+int64_t Server::QueueDepth() const {
+  // A completion passes no earlier than its arrival, so a passed completion
+  // implies a passed arrival.
+  return std::count_if(visits_.begin(), visits_.end(), [this](const Visit& v) {
+    return clock_->Passed(v.arrival, v.stamp) && !clock_->Passed(v.completion, v.stamp);
+  });
 }
 
 SimDuration Server::FlushToDisk(BlockKey key, int64_t bytes) {
@@ -484,14 +504,14 @@ int64_t Server::Crash(SimTime now) {
     (void)file;
     meta.last_writer.reset();
   }
-  const auto [lost, recovered] = cache_.CrashReset(BlockCache::WritebackFn{});
+  const auto [lost, recovered] = cache_.CrashReset(nullptr);
   (void)recovered;
   // The server cache restarts at capacity, as at construction.
   cache_.set_limit_blocks(cache_.config().max_blocks);
   // The service queue is volatile too: queued requests died with the
   // machine (their clients are retrying through the transport's outage
-  // machinery). The depth counter is left to the already-scheduled
-  // completion events, which keep it balanced.
+  // machinery). Their visits stay, so the depth gauge counts each one
+  // until its completion instant.
   busy_until_ = 0;
   inflight_.clear();
   // Migration freeze windows are volatile coordinator state too.

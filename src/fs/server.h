@@ -31,6 +31,7 @@
 #include "src/fs/recovery.h"
 #include "src/fs/types.h"
 #include "src/obs/observability.h"
+#include "src/sim/event_queue.h"
 #include "src/trace/record.h"  // OpenMode
 
 namespace sprite {
@@ -284,9 +285,10 @@ class Server {
   // In async transport mode (RpcConfig::async) every wire-occupying request
   // passes through a per-server FIFO service queue: it arrives after its
   // wire time, waits for the requests ahead of it, then holds the service
-  // lane for a per-kind service time. The transport computes arrival times,
-  // asks the server to admit each request, and schedules the arrival /
-  // completion events that keep the live queue-depth gauge honest.
+  // lane for a per-kind service time. The transport computes arrival times
+  // and asks the server to admit each request. No event marks an arrival or
+  // a completion: the server keeps each admitted request's visit and counts
+  // the live queue depth from them when the gauge is read.
 
   // The admission verdict for one request.
   struct Admission {
@@ -300,9 +302,10 @@ class Server {
   // Turns the service model on (called by the Cluster before
   // AttachObservability when RpcConfig::async is set). Off, AdmitRequest
   // must not be called and AttachObservability registers no queue metrics,
-  // so sync-mode metrics output is unchanged.
-  void EnableServiceQueue(const RpcConfig& rpc);
-  bool service_queue_enabled() const { return service_queue_enabled_; }
+  // so sync-mode metrics output is unchanged. `clock` is the queue the
+  // cluster runs on: the depth count reads its dispatch position.
+  void EnableServiceQueue(const RpcConfig& rpc, const EventQueue& clock);
+  bool service_queue_enabled() const { return clock_ != nullptr; }
 
   // Admits one request arriving at `arrival` (issue time + wire time) and
   // returns when it starts and how long it is serviced. With `priority`
@@ -312,11 +315,16 @@ class Server {
   // (zeros included) in the "server.N.queue_us" recorder.
   Admission AdmitRequest(RpcKind kind, SimTime arrival, bool priority);
 
-  // Event hooks fired by the transport's EventQueue events; they maintain
-  // the live resident count behind the "server.N.queue_depth" gauge.
-  void RequestArrived() { ++service_queue_depth_; }
-  void RequestCompleted() { --service_queue_depth_; }
-  int64_t service_queue_depth() const { return service_queue_depth_; }
+  // The "server.N.queue_depth" gauge: admitted requests that have arrived
+  // and not yet completed at the clock's dispatch position. An arrival or
+  // completion at the reading instant counts as passed exactly when an
+  // event scheduled at admission would have dispatched before the reader
+  // (EventQueue::Passed): inside a callback, when the admission came before
+  // the reading event was scheduled; after RunUntil, when it came before
+  // RunUntil returned.
+  int64_t QueueDepth() const;
+  // Admissions the depth count still holds (see visits_).
+  size_t visit_count() const { return visits_.size(); }
 
   const ServerCounters& counters() const { return counters_; }
   // Log-structured backend statistics (null when update-in-place).
@@ -378,8 +386,9 @@ class Server {
   // configured layout here, and the shadow flush hook tells the standby the
   // extent is durable. Returns the disk time.
   SimDuration FlushToDisk(BlockKey key, int64_t bytes);
-  // FlushToDisk as a BlockCache writeback.
-  BlockCache::WritebackFn ToDisk() {
+  // FlushToDisk as a BlockCache writeback: a lambda, passed straight to the
+  // cache.
+  auto ToDisk() {
     return [this](BlockKey key, int64_t bytes) { FlushToDisk(key, bytes); };
   }
 
@@ -391,7 +400,8 @@ class Server {
   LatencyRecorder* queue_wait_rec_ = nullptr;
 
   // --- Service-queue state (async transport mode only) -----------------------
-  bool service_queue_enabled_ = false;
+  // The cluster's event queue; null until EnableServiceQueue.
+  const EventQueue* clock_ = nullptr;
   SimDuration control_service_time_ = 0;
   SimDuration data_service_time_ = 0;
   size_t max_queue_depth_ = 0;
@@ -403,9 +413,18 @@ class Server {
   // Priority (grace-window reopen) requests bypass this deque — their
   // completions can precede queued ones — but still push busy_until_.
   std::deque<SimTime> inflight_;
-  // Live resident count (arrival event fired, completion event not yet);
-  // maintained by the transport's events, read by the depth gauge.
-  int64_t service_queue_depth_ = 0;
+  // One admitted request's stay, as QueueDepth sees it: its arrival and
+  // completion, each raised to the clock's time at admission, and the
+  // clock's schedule count then, which orders both against a reading event
+  // at the same instant. Priority admissions included, in admission order.
+  // An admission that finds the oldest visit's completion behind the clock
+  // drops every visit whose completion is.
+  struct Visit {
+    SimTime arrival;
+    SimTime completion;
+    uint64_t stamp;
+  };
+  std::vector<Visit> visits_;
   Disk disk_;
   std::unique_ptr<SegmentLog> segment_log_;
   CacheCounters cache_counters_;

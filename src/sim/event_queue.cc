@@ -85,6 +85,7 @@ bool EventQueue::RunNext() {
     SiftDown(0);
   }
   now_ = top.at;
+  frontier_ = top.sequence + 1;
   ++dispatched_;
   // Move the callback out and release the slot before invoking: the
   // callback may schedule new events, which can grow the pool and would
@@ -99,8 +100,12 @@ void EventQueue::RunUntil(SimTime deadline) {
   while (!heap_.empty() && heap_.front().at <= deadline) {
     RunNext();
   }
-  if (now_ < deadline) {
+  if (now_ <= deadline) {
+    // Everything scheduled so far at or before the deadline has run. Skip
+    // one sequence number so that stamps taken after this return sort past
+    // the frontier even when no event is scheduled in between.
     now_ = deadline;
+    frontier_ = ++next_sequence_;
   }
 }
 

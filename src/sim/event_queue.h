@@ -72,6 +72,21 @@ class EventQueue {
   // accessors feed "sim.queue.*" gauges in the metrics registry.
   size_t max_pending_count() const { return max_pending_; }
 
+  // Dispatch position, for components that need to know whether an event
+  // would have run without scheduling one (the server's queue-depth count).
+  // schedule_count() is the sequence number the next Schedule call takes.
+  // Passed(at, stamp) is true once dispatch has gone past an event for `at`
+  // scheduled when schedule_count() read `stamp`. Inside a callback that is
+  // exactly when FIFO order would have run it first: `at` is earlier, or
+  // equal and the stamp was taken before the running event was scheduled.
+  // After RunUntil it holds for every stamp taken before RunUntil returned
+  // with `at` at or before the deadline. Only dispatch and RunUntil move
+  // now(): after RunAll, `at` past the last event has not passed.
+  uint64_t schedule_count() const { return next_sequence_; }
+  bool Passed(SimTime at, uint64_t stamp) const {
+    return at < now_ || (at == now_ && stamp < frontier_);
+  }
+
  private:
   // Heap records are value types kept apart from the callback storage so
   // sift operations move 24 bytes, never a closure.
@@ -102,6 +117,10 @@ class EventQueue {
   std::vector<uint32_t> free_slots_;
   SimTime now_ = 0;
   uint64_t next_sequence_ = 0;
+  // Every event at now_ with a sequence below this has been dispatched.
+  // RunNext sets it past the running event; RunUntil's jump to its deadline
+  // sets it past everything scheduled so far.
+  uint64_t frontier_ = 0;
   uint64_t dispatched_ = 0;
   size_t max_pending_ = 0;
 };

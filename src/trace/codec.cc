@@ -1,7 +1,7 @@
 #include "src/trace/codec.h"
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace sprite {
@@ -19,6 +19,13 @@ constexpr uint8_t kModeMask = 0x3;
 constexpr uint8_t kMigratedBit = 0x4;
 constexpr uint8_t kDirectoryBit = 0x8;
 
+constexpr size_t kHeaderBytes = sizeof(kTraceMagic) + 1;
+// Simulated traces average 21.7-22.1 bytes per record; EncodeTrace reserves
+// this much per record so its string rarely grows.
+constexpr size_t kTypicalRecordBytes = 24;
+// The kind and flags bytes plus the 13 varints' last bytes.
+constexpr size_t kStopBytesPerRecord = 15;
+
 }  // namespace
 
 void PutVarint(std::string& out, uint64_t value) {
@@ -29,7 +36,7 @@ void PutVarint(std::string& out, uint64_t value) {
   out.push_back(static_cast<char>(value));
 }
 
-std::optional<uint64_t> GetVarint(const std::string& buffer, size_t& pos) {
+std::optional<uint64_t> GetVarint(std::string_view buffer, size_t& pos) {
   uint64_t value = 0;
   int shift = 0;
   while (pos < buffer.size()) {
@@ -54,21 +61,18 @@ int64_t ZigZagDecode(uint64_t value) {
   return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
 }
 
-TraceWriter::TraceWriter(std::ostream& out) : out_(out) {
-  out_.write(kTraceMagic, sizeof(kTraceMagic));
-  out_.put(static_cast<char>(kTraceVersion));
-}
+namespace {
 
-void TraceWriter::Write(const Record& r) {
-  buffer_.clear();
-  buffer_.push_back(static_cast<char>(r.kind));
-  PutVarint(buffer_, ZigZagEncode(r.time - last_time_));
-  last_time_ = r.time;
-  PutVarint(buffer_, r.user);
-  PutVarint(buffer_, r.client);
-  PutVarint(buffer_, r.server);
-  PutVarint(buffer_, r.file);
-  PutVarint(buffer_, r.handle);
+// Appends `r`, its time delta-encoded against `last_time`, which it advances.
+void AppendRecord(std::string& out, const Record& r, SimTime& last_time) {
+  out.push_back(static_cast<char>(r.kind));
+  PutVarint(out, ZigZagEncode(r.time - last_time));
+  last_time = r.time;
+  PutVarint(out, r.user);
+  PutVarint(out, r.client);
+  PutVarint(out, r.server);
+  PutVarint(out, r.file);
+  PutVarint(out, r.handle);
   uint8_t flags = static_cast<uint8_t>(r.mode) & kModeMask;
   if (r.migrated) {
     flags |= kMigratedBit;
@@ -76,14 +80,66 @@ void TraceWriter::Write(const Record& r) {
   if (r.is_directory) {
     flags |= kDirectoryBit;
   }
-  buffer_.push_back(static_cast<char>(flags));
-  PutVarint(buffer_, ZigZagEncode(r.offset_before));
-  PutVarint(buffer_, ZigZagEncode(r.offset_after));
-  PutVarint(buffer_, ZigZagEncode(r.file_size));
-  PutVarint(buffer_, static_cast<uint64_t>(r.run_read_bytes));
-  PutVarint(buffer_, static_cast<uint64_t>(r.run_write_bytes));
-  PutVarint(buffer_, static_cast<uint64_t>(r.io_bytes));
-  PutVarint(buffer_, r.peer_client);
+  out.push_back(static_cast<char>(flags));
+  PutVarint(out, ZigZagEncode(r.offset_before));
+  PutVarint(out, ZigZagEncode(r.offset_after));
+  PutVarint(out, ZigZagEncode(r.file_size));
+  PutVarint(out, static_cast<uint64_t>(r.run_read_bytes));
+  PutVarint(out, static_cast<uint64_t>(r.run_write_bytes));
+  PutVarint(out, static_cast<uint64_t>(r.io_bytes));
+  PutVarint(out, r.peer_client);
+}
+
+// Parses the record at `pos`, advancing `pos` and `last_time`. Returns
+// std::nullopt when `pos` is at the end of `bytes`; throws
+// std::runtime_error when `bytes` ends inside the record.
+std::optional<Record> ParseRecord(std::string_view bytes, size_t& pos, SimTime& last_time) {
+  if (pos >= bytes.size()) {
+    return std::nullopt;
+  }
+  const auto next = [&]() {
+    const std::optional<uint64_t> v = GetVarint(bytes, pos);
+    if (!v) {
+      throw std::runtime_error("TraceReader: truncated record");
+    }
+    return *v;
+  };
+  Record r;
+  r.kind = static_cast<RecordKind>(static_cast<uint8_t>(bytes[pos++]));
+  r.time = last_time + ZigZagDecode(next());
+  r.user = static_cast<uint32_t>(next());
+  r.client = static_cast<uint32_t>(next());
+  r.server = static_cast<uint32_t>(next());
+  r.file = next();
+  r.handle = next();
+  if (pos >= bytes.size()) {
+    throw std::runtime_error("TraceReader: truncated record");
+  }
+  const uint8_t flags = static_cast<uint8_t>(bytes[pos++]);
+  r.mode = static_cast<OpenMode>(flags & kModeMask);
+  r.migrated = (flags & kMigratedBit) != 0;
+  r.is_directory = (flags & kDirectoryBit) != 0;
+  r.offset_before = ZigZagDecode(next());
+  r.offset_after = ZigZagDecode(next());
+  r.file_size = ZigZagDecode(next());
+  r.run_read_bytes = static_cast<int64_t>(next());
+  r.run_write_bytes = static_cast<int64_t>(next());
+  r.io_bytes = static_cast<int64_t>(next());
+  r.peer_client = static_cast<uint32_t>(next());
+  last_time = r.time;
+  return r;
+}
+
+}  // namespace
+
+TraceWriter::TraceWriter(std::ostream& out) : out_(out) {
+  out_.write(kTraceMagic, sizeof(kTraceMagic));
+  out_.put(static_cast<char>(kTraceVersion));
+}
+
+void TraceWriter::Write(const Record& r) {
+  buffer_.clear();
+  AppendRecord(buffer_, r, last_time_);
   out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
   ++written_;
 }
@@ -129,71 +185,8 @@ std::optional<Record> TraceReader::Next() {
   // Ensure we have a generous upper bound of one record's worth of bytes
   // available; records are at most ~14 varints * 10 bytes + 2.
   constexpr size_t kMaxRecordBytes = 160;
-  FillTo(kMaxRecordBytes);  // best effort; short reads handled below
-  if (pos_ >= buffer_.size()) {
-    return std::nullopt;
-  }
-
-  const size_t start = pos_;
-  auto fail = [&]() -> std::optional<Record> {
-    // Truncated mid-record: corrupt stream.
-    if (pos_ != start) {
-      throw std::runtime_error("TraceReader: truncated record");
-    }
-    return std::nullopt;
-  };
-
-  Record r;
-  r.kind = static_cast<RecordKind>(static_cast<uint8_t>(buffer_[pos_++]));
-  auto read_varint = [&]() { return GetVarint(buffer_, pos_); };
-
-  const auto dt = read_varint();
-  if (!dt) {
-    return fail();
-  }
-  r.time = last_time_ + ZigZagDecode(*dt);
-
-  const auto user = read_varint();
-  const auto client = read_varint();
-  const auto server = read_varint();
-  const auto file = read_varint();
-  const auto handle = read_varint();
-  if (!user || !client || !server || !file || !handle) {
-    return fail();
-  }
-  if (pos_ >= buffer_.size()) {
-    return fail();
-  }
-  const uint8_t flags = static_cast<uint8_t>(buffer_[pos_++]);
-  const auto offset_before = read_varint();
-  const auto offset_after = read_varint();
-  const auto file_size = read_varint();
-  const auto run_read = read_varint();
-  const auto run_write = read_varint();
-  const auto io_bytes = read_varint();
-  const auto peer = read_varint();
-  if (!offset_before || !offset_after || !file_size || !run_read || !run_write || !io_bytes ||
-      !peer) {
-    return fail();
-  }
-
-  last_time_ = r.time;
-  r.user = static_cast<uint32_t>(*user);
-  r.client = static_cast<uint32_t>(*client);
-  r.server = static_cast<uint32_t>(*server);
-  r.file = *file;
-  r.handle = *handle;
-  r.mode = static_cast<OpenMode>(flags & kModeMask);
-  r.migrated = (flags & kMigratedBit) != 0;
-  r.is_directory = (flags & kDirectoryBit) != 0;
-  r.offset_before = ZigZagDecode(*offset_before);
-  r.offset_after = ZigZagDecode(*offset_after);
-  r.file_size = ZigZagDecode(*file_size);
-  r.run_read_bytes = static_cast<int64_t>(*run_read);
-  r.run_write_bytes = static_cast<int64_t>(*run_write);
-  r.io_bytes = static_cast<int64_t>(*io_bytes);
-  r.peer_client = static_cast<uint32_t>(*peer);
-  return r;
+  FillTo(kMaxRecordBytes);  // best effort; short reads handled by ParseRecord
+  return ParseRecord(buffer_, pos_, last_time_);
 }
 
 TraceLog TraceReader::ReadAll() {
@@ -205,16 +198,37 @@ TraceLog TraceReader::ReadAll() {
 }
 
 std::string EncodeTrace(const TraceLog& log) {
-  std::ostringstream out;
-  TraceWriter writer(out);
-  writer.WriteAll(log);
-  return out.str();
+  std::string out(kTraceMagic, sizeof(kTraceMagic));
+  out.push_back(static_cast<char>(kTraceVersion));
+  out.reserve(kHeaderBytes + log.size() * kTypicalRecordBytes);
+  SimTime last_time = 0;
+  for (const Record& r : log) {
+    AppendRecord(out, r, last_time);
+  }
+  return out;
 }
 
 TraceLog DecodeTrace(const std::string& bytes) {
-  std::istringstream in(bytes);
-  TraceReader reader(in);
-  return reader.ReadAll();
+  const std::string_view view(bytes);
+  const std::string_view magic(kTraceMagic, sizeof(kTraceMagic));
+  if (view.size() < kHeaderBytes || view.substr(0, magic.size()) != magic ||
+      static_cast<uint8_t>(view[magic.size()]) != kTraceVersion) {
+    throw std::runtime_error("TraceReader: bad trace header");
+  }
+  // Every record holds exactly kStopBytesPerRecord bytes below 0x80: its
+  // kind byte, its flags byte and the last byte of each of its varints (a
+  // varint's other bytes have the top bit set). Counting them sizes the log
+  // exactly for a well-formed trace.
+  const auto stop_bytes = std::count_if(view.begin() + kHeaderBytes, view.end(),
+                                        [](char c) { return (c & 0x80) == 0; });
+  TraceLog log;
+  log.reserve(static_cast<size_t>(stop_bytes) / kStopBytesPerRecord);
+  size_t pos = kHeaderBytes;
+  SimTime last_time = 0;
+  while (auto r = ParseRecord(view, pos, last_time)) {
+    log.push_back(*r);
+  }
+  return log;
 }
 
 void WriteTraceFile(const std::string& path, const TraceLog& log) {

@@ -19,6 +19,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "src/trace/record.h"
 
@@ -30,7 +31,7 @@ inline constexpr uint8_t kTraceVersion = 1;
 // Low-level varint helpers, exposed for tests.
 void PutVarint(std::string& out, uint64_t value);
 // Returns the decoded value and advances `pos`; std::nullopt on truncation.
-std::optional<uint64_t> GetVarint(const std::string& buffer, size_t& pos);
+std::optional<uint64_t> GetVarint(std::string_view buffer, size_t& pos);
 uint64_t ZigZagEncode(int64_t value);
 int64_t ZigZagDecode(uint64_t value);
 
@@ -76,7 +77,8 @@ class TraceReader {
   size_t pos_ = 0;
 };
 
-// Convenience round-trips.
+// Whole-log round-trips, built in place: EncodeTrace appends to one string,
+// and DecodeTrace parses `bytes` directly into a log sized up front.
 std::string EncodeTrace(const TraceLog& log);
 TraceLog DecodeTrace(const std::string& bytes);
 

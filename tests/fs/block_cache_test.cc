@@ -20,7 +20,9 @@ class BlockCacheTest : public ::testing::Test {
   CacheCounters counters_;
   std::vector<std::pair<BlockKey, int64_t>> writebacks_;
 
-  BlockCache::WritebackFn Sink() {
+  // Returns the lambda itself, a temporary that lives through the call it
+  // is passed to: a WritebackFn only refers to its callable.
+  auto Sink() {
     return [this](BlockKey key, int64_t bytes) { writebacks_.emplace_back(key, bytes); };
   }
 };
@@ -225,6 +227,25 @@ TEST_F(BlockCacheTest, DemoteToLruTailEvictedFirst) {
   cache.InsertClean({1, 2}, 2, Sink());
   EXPECT_TRUE(cache.Contains({1, 0}));
   EXPECT_FALSE(cache.Contains({1, 1}));
+}
+
+TEST_F(BlockCacheTest, OneInsertEvictingTwoDirtyBlocksKeepsTheCallersState) {
+  // The writeback argument refers to the call-site lambda, so state the
+  // lambda carries (a client's issue-time offset) runs through every
+  // writeback of the insert.
+  BlockCache cache(SmallConfig(), &counters_);
+  cache.set_limit_blocks(3);
+  cache.Write({1, 0}, 0, 100, Sink());
+  cache.Write({1, 1}, 1, 200, Sink());
+  cache.Write({1, 2}, 2, 300, Sink());
+  cache.set_limit_blocks(2);  // one block over: the next insert evicts two
+  std::vector<int64_t> offsets;
+  cache.InsertClean({2, 0}, 3, [&offsets, offset = int64_t{0}](BlockKey, int64_t bytes) mutable {
+    offsets.push_back(offset);
+    offset += bytes;
+  });
+  EXPECT_EQ(offsets, (std::vector<int64_t>{0, 100}));
+  EXPECT_EQ(cache.block_count(), 2);
 }
 
 TEST_F(BlockCacheTest, NullCountersSafe) {

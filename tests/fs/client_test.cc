@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
+#include <vector>
+
+#include "src/sim/event_queue.h"
 
 namespace sprite {
 namespace {
@@ -161,6 +165,50 @@ TEST_F(ClientTest, FsyncWritesBackImmediately) {
   EXPECT_EQ(server_->counters().file_write_bytes, 1000);
   EXPECT_EQ(client_->cache_counters().cleaned[static_cast<int>(CleanReason::kFsync)], 1);
   client_->Close(open.handle, 2);
+}
+
+// Under async RPCs one writeback pass threads the latency it has spent into
+// each next issue time, through the offset its call-site lambda carries.
+// The client never holds more blocks than its cache limit, so an insert
+// evicts at most one block; fsync of a file with two dirty blocks is the
+// pass that writes back several. The second writeback is issued when the
+// first one completes, so it never queues behind it at the server.
+TEST(ClientAsyncTest, OneWritebackPassIssuesEachBlockAfterThePreviousOne) {
+  RpcConfig rpc;
+  rpc.async = true;
+  ObservabilityConfig tracing;
+  tracing.tracing = true;
+  Observability obs(tracing);
+  EventQueue queue;
+  RpcTransport transport(NetworkConfig{}, rpc);
+  transport.AttachObservability(&obs);
+  Server server(0, ServerConfig{}, DiskConfig{});
+  server.EnableServiceQueue(rpc, queue);
+  transport.RegisterServer(0, &server);
+  uint64_t handles = 0;
+  Client client(
+      0, ClientConfig{}, [&](FileId) { return ServerStub(0, server, transport); }, nullptr,
+      &handles);
+  client.SetAsyncRpc(true);
+  server.RegisterClient(0, &client);
+
+  auto open = client.Open(1, 7, OpenMode::kWrite, OpenDisposition::kNormal, false, 0);
+  client.Write(open.handle, 2 * kBlockSize, 0);
+  client.Fsync(open.handle, kSecond);
+
+  std::vector<Span> writebacks;
+  for (const Span& span : obs.tracer().spans()) {
+    if (std::string_view(span.name) == RpcKindName(RpcKind::kWriteBlock)) {
+      writebacks.push_back(span);
+    }
+  }
+  ASSERT_EQ(writebacks.size(), 2u);
+  EXPECT_EQ(writebacks[0].start, kSecond);
+  EXPECT_GT(writebacks[0].duration, 0);
+  EXPECT_EQ(writebacks[1].start, writebacks[0].start + writebacks[0].duration);
+  const RpcStat& stat = transport.ledger().stat(RpcKind::kWriteBlock);
+  EXPECT_EQ(stat.queue_time, 0) << "the second writeback queued behind the first";
+  EXPECT_EQ(stat.service_time, 2 * rpc.data_service_time);
 }
 
 TEST_F(ClientTest, CleanerTickHonorsDelay) {

@@ -1,7 +1,7 @@
 // Tests for the event-driven RPC completion mode (RpcConfig::async): the
 // per-server FIFO service queue, queue-wait accounting through the ledger
-// and the server.N.queue_us recorder, the arrival/completion events behind
-// the depth gauge, reopen-priority admission during the recovery grace
+// and the server.N.queue_us recorder, the depth gauge's count of arrived,
+// uncompleted visits, reopen-priority admission during the recovery grace
 // window, and determinism / non-perturbation with observability attached.
 
 #include "src/fs/rpc.h"
@@ -30,8 +30,7 @@ RpcConfig AsyncRpcConfig() {
 struct AsyncRig {
   explicit AsyncRig(const RpcConfig& rpc)
       : transport(NetworkConfig{}, rpc), server(0, ServerConfig{}, DiskConfig{}) {
-    server.EnableServiceQueue(rpc);
-    transport.BindEventQueue(&queue);
+    server.EnableServiceQueue(rpc, queue);
     transport.RegisterServer(0, &server);
   }
 
@@ -110,16 +109,17 @@ TEST(RpcAsyncTest, DepthGaugeFollowsArrivalAndCompletionEvents) {
   const SimDuration service = AsyncRpcConfig().data_service_time;
   rig.transport.Call(RpcKind::kReadBlock, 0, 0, kBlockSize, 0);
   rig.transport.Call(RpcKind::kReadBlock, 1, 0, kBlockSize, 0);
-  EXPECT_EQ(rig.server.service_queue_depth(), 0) << "events have not dispatched yet";
+  EXPECT_EQ(rig.server.QueueDepth(), 0) << "the clock has not reached the arrivals yet";
 
   // Both requests arrive at the server at `net`; completions at net+service
-  // and net+2*service.
+  // and net+2*service. No event marks them, so the clock advances by
+  // deadline; a completion at the deadline itself has passed.
   rig.queue.RunUntil(net + service / 2);
-  EXPECT_EQ(rig.server.service_queue_depth(), 2);
+  EXPECT_EQ(rig.server.QueueDepth(), 2);
   rig.queue.RunUntil(net + service + service / 2);
-  EXPECT_EQ(rig.server.service_queue_depth(), 1);
-  rig.queue.RunAll();
-  EXPECT_EQ(rig.server.service_queue_depth(), 0);
+  EXPECT_EQ(rig.server.QueueDepth(), 1);
+  rig.queue.RunUntil(net + 2 * service);
+  EXPECT_EQ(rig.server.QueueDepth(), 0);
 }
 
 TEST(RpcAsyncTest, DepthLimitBoundsResidencyWithoutChangingFifoTiming) {
@@ -141,8 +141,9 @@ TEST(RpcAsyncTest, DepthLimitBoundsResidencyWithoutChangingFifoTiming) {
 }
 
 TEST(RpcAsyncTest, AdmitRequestGivesPriorityAdmissionsTheArrivalSlot) {
+  EventQueue queue;
   Server server(0, ServerConfig{}, DiskConfig{});
-  server.EnableServiceQueue(AsyncRpcConfig());
+  server.EnableServiceQueue(AsyncRpcConfig(), queue);
   const SimDuration control = AsyncRpcConfig().control_service_time;
   const SimDuration data = AsyncRpcConfig().data_service_time;
 

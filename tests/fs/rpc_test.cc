@@ -66,8 +66,9 @@ TEST(RpcKindTest, ChargedKindsOccupyTheWire) {
   async.async = true;
   async.control_service_time = 7;
   async.data_service_time = 11;
+  EventQueue queue;
   Server server(0, ServerConfig{}, DiskConfig{});
-  server.EnableServiceQueue(async);
+  server.EnableServiceQueue(async, queue);
   RpcConfig batching;
   batching.batching = true;
   for (size_t i = 0; i < std::size(rows); ++i) {

@@ -182,12 +182,11 @@ struct AsyncWireRig {
         transport(net, rpc),
         server(0, ServerConfig{}, DiskConfig{}) {
     if (rpc.async) {
-      server.EnableServiceQueue(rpc);
+      server.EnableServiceQueue(rpc, queue);
     }
     server.AttachObservability(&obs);
     transport.SetExpectedServers(1);
     transport.AttachObservability(&obs);
-    transport.BindEventQueue(&queue);
     transport.RegisterServer(0, &server);
   }
   // Admissions so far: the queue-wait recorder samples every one.
@@ -217,13 +216,13 @@ TEST(WireTest, AsyncHonestWireControlExchangeSkipsTheServiceQueue) {
   EXPECT_EQ(getattr.service_time, 0);
   EXPECT_EQ(latency, getattr.net_time);
   EXPECT_EQ(rig.admissions(), 0);
-  EXPECT_EQ(rig.queue.pending_count(), 0u) << "no arrival/completion events";
+  EXPECT_EQ(rig.server.visit_count(), 0u) << "no visit to the service queue";
 
   // A kind with a lane on the same transport is admitted.
   rig.transport.Call(RpcKind::kOpen, 0, 0, kControlRpcBytes, latency);
   EXPECT_EQ(rig.admissions(), 1);
   EXPECT_EQ(rig.transport.ledger().stat(RpcKind::kOpen).service_time, rpc.control_service_time);
-  EXPECT_EQ(rig.queue.pending_count(), 2u);
+  EXPECT_EQ(rig.server.visit_count(), 1u);
 }
 
 TEST(WireTest, AsyncBatchingAdmitsEachFlushOnceAtControlServiceTime) {
@@ -250,7 +249,7 @@ TEST(WireTest, AsyncBatchingAdmitsEachFlushOnceAtControlServiceTime) {
   }
   EXPECT_EQ(ledger.stat(RpcKind::kBatch).service_time, 2 * rpc.control_service_time);
   EXPECT_EQ(rig.admissions(), 2) << "one admission per flush, none per member";
-  EXPECT_EQ(rig.queue.pending_count(), 4u);
+  EXPECT_EQ(rig.server.visit_count(), 2u);
 }
 
 TEST(WireTest, ContendedBatchFlushRecordsLinkQueueing) {

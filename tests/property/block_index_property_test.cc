@@ -190,7 +190,7 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
   Rng rng(GetParam());
 
   std::vector<std::pair<Key, int64_t>> written;  // the cache's writebacks this step
-  const BlockCache::WritebackFn sink = [&written](BlockKey key, int64_t bytes) {
+  const auto sink = [&written](BlockKey key, int64_t bytes) {
     written.emplace_back(Key{key.file, key.index}, bytes);
   };
   // File ids far apart, as the workload's per-user id ranges are, so the
@@ -320,7 +320,8 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
           expected.emplace_back(dirty_key, extent);
         }
       }
-      const auto [lost, recovered] = cache.CrashReset(nvram ? sink : nullptr);
+      const auto [lost, recovered] =
+          cache.CrashReset(nvram ? BlockCache::WritebackFn(sink) : nullptr);
       ASSERT_EQ(lost, nvram ? 0 : dirty_bytes);
       ASSERT_EQ(recovered, nvram ? dirty_bytes : 0);
       ASSERT_EQ(cache.limit_blocks(), kMinBlocks);

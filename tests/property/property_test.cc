@@ -120,7 +120,7 @@ TEST_P(CacheFlushProperty, FlushesAscendAndDirtyStateMatchesReference) {
 
   std::vector<std::pair<uint64_t, int64_t>> written;  // this op's writebacks
   bool crashing = false;  // NVRAM replay runs before the reset drops anything
-  BlockCache::WritebackFn sink = [&](BlockKey key, int64_t bytes) {
+  const auto sink = [&](BlockKey key, int64_t bytes) {
     auto it = ref.find({key.file, key.index});
     ASSERT_NE(it, ref.end()) << "only dirty blocks are written back";
     EXPECT_EQ(bytes, it->second.extent);
