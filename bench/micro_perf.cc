@@ -49,8 +49,10 @@ void BM_CacheHitLookup(benchmark::State& state) {
 BENCHMARK(BM_CacheHitLookup);
 
 // A server cache's scale: 32,768 blocks over 1,024 files, looked up in a
-// scrambled order. The 2,048 sequential blocks of one file above fit in L2
-// and hide what a lookup costs when the block index and the entries do not.
+// scrambled order. The 2,048 sequential blocks of one file above share one
+// hot file state and block table; here each lookup probes the per-file map
+// for a different file and reads a table and an entry that are likely not
+// in cache, the worst case for the per-file tables.
 void BM_CacheHitLookupServerScale(benchmark::State& state) {
   constexpr int64_t kBlocks = 32768;
   constexpr int64_t kFiles = 1024;
@@ -77,6 +79,8 @@ void BM_CacheHitLookupServerScale(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitLookupServerScale);
 
+// Each insert evicts the LRU block: a 1,024-block window slides up one
+// file's block numbers, so the file's table must follow it.
 void BM_CacheMissInsertEvict(benchmark::State& state) {
   CacheConfig config;
   config.min_blocks = 1024;

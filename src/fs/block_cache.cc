@@ -7,99 +7,58 @@
 
 namespace sprite {
 
-namespace {
-constexpr size_t kMinSlots = 16;
-}  // namespace
-
 BlockCache::BlockCache(const CacheConfig& config, CacheCounters* counters)
-    : config_(config), counters_(counters), limit_blocks_(config.min_blocks),
-      slots_(kMinSlots) {}
-
-uint32_t BlockCache::HashKey(BlockKey key) {
-  // MurmurHash3's 64-bit finalizer over both key words: blocks of one file
-  // spread over the whole table instead of forming one long probe run.
-  uint64_t h = key.file * 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(key.index);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return static_cast<uint32_t>(h);
-}
+    : config_(config), counters_(counters), limit_blocks_(config.min_blocks) {}
 
 const BlockCache::Entry* BlockCache::Locate(BlockKey key) const {
-  const uint32_t hash = HashKey(key);
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot slot = slots_[i];
-    if (slot.entry == kNoEntry) {
-      return nullptr;
-    }
-    if (slot.hash == hash) {
-      const Entry& entry = pool_[slot.entry];
-      if (entry.key == key) {
-        return &entry;
-      }
-    }
+  auto fit = files_.find(key.file);
+  if (fit == files_.end()) {
+    return nullptr;
   }
+  const FileState& fs = fit->second;
+  // Unsigned, so any block number is safe: one below the base wraps past
+  // the table's end.
+  const uint64_t i = static_cast<uint64_t>(key.index) - static_cast<uint64_t>(fs.base);
+  return i < fs.table.size() ? fs.table[i] : nullptr;
 }
 
-void BlockCache::Place(Slot slot) {
-  const size_t mask = slots_.size() - 1;
-  size_t i = slot.hash & mask;
-  while (slots_[i].entry != kNoEntry) {
-    i = (i + 1) & mask;
+BlockCache::Entry*& BlockCache::TableSlot(FileState& fs, int64_t block) {
+  if (fs.table.empty()) {
+    fs.base = block;
+    fs.table.resize(1);
+  } else if (block < fs.base) {
+    // Extending the front by at least the table's size keeps a run that
+    // walks down at amortized O(1) per block.
+    const int64_t grow = std::max(fs.base - block, static_cast<int64_t>(fs.table.size()));
+    fs.table.insert(fs.table.begin(), static_cast<size_t>(grow), nullptr);
+    fs.base -= grow;
+  } else if (block - fs.base >= static_cast<int64_t>(fs.table.size())) {
+    fs.table.resize(static_cast<size_t>(block - fs.base + 1));
   }
-  slots_[i] = slot;
+  return fs.table[static_cast<size_t>(block - fs.base)];
 }
 
 BlockCache::Entry* BlockCache::Allocate(BlockKey key) {
   assert(Locate(key) == nullptr);
-  if (2 * static_cast<size_t>(block_count() + 1) > slots_.size()) {
-    std::vector<Slot> old(2 * slots_.size());
-    old.swap(slots_);
-    for (const Slot& slot : old) {
-      if (slot.entry != kNoEntry) {
-        Place(slot);
-      }
-    }
-  }
-  uint32_t index = 0;
+  Entry* entry = nullptr;
   if (free_.empty()) {
-    index = static_cast<uint32_t>(pool_.size());
-    pool_.emplace_back();
+    entry = &pool_.emplace_back();
   } else {
-    index = free_.back();
+    entry = free_.back();
     free_.pop_back();
-    ASAN_UNPOISON_MEMORY_REGION(&pool_[index], sizeof(Entry));
-    pool_[index] = Entry{};
+    ASAN_UNPOISON_MEMORY_REGION(entry, sizeof(Entry));
+    *entry = Entry{};
   }
-  Entry& entry = pool_[index];
-  entry.key = key;
-  entry.pool_index = index;
-  Place({HashKey(key), index});
-  return &entry;
+  FileState& fs = files_[key.file];
+  TableSlot(fs, key.index) = entry;
+  ++fs.resident;
+  entry->key = key;
+  entry->file = &fs;
+  return entry;
 }
 
 void BlockCache::Release(Entry* entry) {
-  const uint32_t index = entry->pool_index;
-  const size_t mask = slots_.size() - 1;
-  size_t hole = HashKey(entry->key) & mask;
-  while (slots_[hole].entry != index) {
-    hole = (hole + 1) & mask;
-  }
-  // Backward shift: each later member of the probe run moves into the hole
-  // unless its home slot lies cyclically after the hole.
-  for (size_t next = (hole + 1) & mask; slots_[next].entry != kNoEntry;
-       next = (next + 1) & mask) {
-    const size_t home = slots_[next].hash & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole] = slots_[next];
-      hole = next;
-    }
-  }
-  slots_[hole] = Slot{};
-  free_.push_back(index);
+  free_.push_back(entry);
   ASAN_POISON_MEMORY_REGION(entry, sizeof(Entry));
 }
 
@@ -148,18 +107,6 @@ void BlockCache::TouchLru(Entry* entry, SimTime now) {
   LruPushFront(entry);
 }
 
-void BlockCache::PushSlot(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry) {
-  entry->*slot = static_cast<uint32_t>(list.size());
-  list.push_back(entry);
-}
-
-void BlockCache::SwapRemove(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry) {
-  Entry* last = list.back();
-  list[entry->*slot] = last;
-  last->*slot = entry->*slot;
-  list.pop_back();
-}
-
 void BlockCache::SortForFlush(std::vector<Entry*>& dirty) {
   std::sort(dirty.begin(), dirty.end(),
             [](const Entry* a, const Entry* b) { return a->key.index > b->key.index; });
@@ -172,9 +119,10 @@ void BlockCache::MarkDirty(Entry* entry, SimTime now) {
   entry->dirty = true;
   entry->dirty_since = now;
   entry->dirty_extent = 0;
-  FileState& fs = files_.find(entry->key.file)->second;
-  PushSlot(fs.dirty, &Entry::dirty_slot, entry);
-  if (fs.dirty.size() == 1) {
+  std::vector<Entry*>& dirty = entry->file->dirty;
+  entry->dirty_slot = static_cast<uint32_t>(dirty.size());
+  dirty.push_back(entry);
+  if (dirty.size() == 1) {
     dirty_files_.insert(entry->key.file);
   }
 }
@@ -182,9 +130,12 @@ void BlockCache::MarkDirty(Entry* entry, SimTime now) {
 void BlockCache::MarkClean(Entry* entry) {
   entry->dirty = false;
   entry->dirty_extent = 0;
-  FileState& fs = files_.find(entry->key.file)->second;
-  SwapRemove(fs.dirty, &Entry::dirty_slot, entry);
-  if (fs.dirty.empty()) {
+  std::vector<Entry*>& dirty = entry->file->dirty;
+  Entry* last = dirty.back();
+  dirty[entry->dirty_slot] = last;
+  last->dirty_slot = entry->dirty_slot;
+  dirty.pop_back();
+  if (dirty.empty()) {
     dirty_files_.erase(entry->key.file);
   }
 }
@@ -212,7 +163,6 @@ BlockCache::Entry* BlockCache::InsertNew(BlockKey key, SimTime now, WritebackFn 
   Entry* entry = Allocate(key);
   entry->last_ref = now;
   LruPushFront(entry);
-  PushSlot(files_[key.file].blocks, &Entry::block_slot, entry);
   return entry;
 }
 
@@ -284,11 +234,32 @@ BlockCache::Entry* BlockCache::CleanBlock(Entry* entry, SimTime now, CleanReason
 void BlockCache::EraseEntry(Entry* entry) {
   assert(!entry->dirty);  // EvictBlock cleans first; whole files go via EraseFile
   LruUnlink(entry);
-  auto fit = files_.find(entry->key.file);
-  FileState& fs = fit->second;
-  SwapRemove(fs.blocks, &Entry::block_slot, entry);
-  if (fs.blocks.empty() && fs.version == 0) {
-    files_.erase(fit);
+  FileState& fs = *entry->file;
+  std::vector<Entry*>& table = fs.table;
+  table[static_cast<size_t>(entry->key.index - fs.base)] = nullptr;
+  if (--fs.resident == 0) {
+    if (fs.version == 0) {
+      files_.erase(entry->key.file);
+    } else {
+      std::vector<Entry*>().swap(table);
+    }
+  } else {
+    // The back is trimmed at once, the front only once the table is at most
+    // half full: a run that walks up empties the front one slot per block.
+    // Either may leave the allocation oversized, so it shrinks past twice
+    // the table's size.
+    while (table.back() == nullptr) {
+      table.pop_back();
+    }
+    if (table.front() == nullptr && 2 * fs.resident <= static_cast<int64_t>(table.size())) {
+      const auto first = std::find_if(table.begin(), table.end(),
+                                      [](const Entry* e) { return e != nullptr; });
+      fs.base += first - table.begin();
+      table.erase(table.begin(), first);
+    }
+    if (table.capacity() > 2 * table.size()) {
+      table.shrink_to_fit();
+    }
   }
   Release(entry);
   ++erase_count_;
@@ -303,9 +274,11 @@ int64_t BlockCache::EraseFile(uint64_t file) {
   for (const Entry* entry : fit->second.dirty) {
     dirty_bytes += entry->dirty_extent;
   }
-  for (Entry* entry : fit->second.blocks) {
-    LruUnlink(entry);
-    Release(entry);
+  for (Entry* entry : fit->second.table) {
+    if (entry != nullptr) {
+      LruUnlink(entry);
+      Release(entry);
+    }
   }
   if (!fit->second.dirty.empty()) {
     dirty_files_.erase(file);
@@ -439,6 +412,11 @@ uint64_t BlockCache::CachedVersion(uint64_t file) const {
   return fit == files_.end() ? 0 : fit->second.version;
 }
 
+int64_t BlockCache::TableSlots(uint64_t file) const {
+  auto fit = files_.find(file);
+  return fit == files_.end() ? 0 : static_cast<int64_t>(fit->second.table.capacity());
+}
+
 int64_t BlockCache::DropFile(uint64_t file, SimTime now) {
   (void)now;
   return EraseFile(file);
@@ -498,7 +476,6 @@ std::pair<int64_t, int64_t> BlockCache::CrashReset(WritebackFn nvram_recovery) {
   // are poisoned under ASan.
   std::deque<Entry>().swap(pool_);
   free_.clear();
-  slots_.assign(kMinSlots, Slot{});
   lru_head_ = nullptr;
   lru_tail_ = nullptr;
   files_.clear();
@@ -512,7 +489,7 @@ bool BlockCache::SyncVersion(uint64_t file, uint64_t server_version, SimTime now
   auto fit = files_.find(file);
   const bool had_version = fit != files_.end() && fit->second.version != 0;
   const bool stale = had_version && fit->second.version != server_version;
-  const bool has_blocks = fit != files_.end() && !fit->second.blocks.empty();
+  const bool has_blocks = fit != files_.end() && fit->second.resident != 0;
   if (stale && has_blocks) {
     InvalidateFile(file, now);  // erases the FileState; recreated below
   }

@@ -14,18 +14,25 @@
 //   * Per-file version numbers let a client flush stale blocks when the
 //     server reports a newer version at open time.
 //
-// Hot-path layout: entries live in a pool whose addresses never move, and a
-// private open-addressed index maps each (file, block) key to its pool
-// entry. The LRU chain is intrusive (prev/next pointers embedded in the
-// entries — no separate std::list of keys). Each file's blocks
-// live in two unordered vectors inside one FileState: every resident block,
-// and the dirty ones only. Each entry stores its slot in both, so inserting,
-// evicting, dirtying and cleaning a block are O(1) swap-removes no matter
-// how many blocks the file holds (files reach 3072 blocks). Block order is
-// established only when it matters: a flush sorts the file's dirty list,
-// so writebacks still go out in ascending block order. Files with dirty
-// blocks are tracked in a small ordered set, so the 5-second cleaner looks
-// only at dirty blocks of dirty files instead of the whole cache.
+// Hot-path layout: entries live in a pool whose addresses never move, and
+// each file's FileState indexes its resident entries by block number in a
+// dense table (slot i holds block base + i, or null). Whole-file sequential
+// runs dominate the traffic, so a lookup is one probe of the per-file map,
+// which a run keeps hot, plus an array index that consecutive blocks share.
+// The table covers only the span of the file's resident blocks: growing the
+// front extends it by at least its current size, the last slot always holds
+// a block, once the table is at most half full its leading null slots are
+// trimmed, and an allocation over twice the table's size is shrunk. So a
+// table holds at most four slots per block of its span, and it is freed
+// with the file's last block. Each entry points at its FileState
+// (std::unordered_map nodes never move), so dirtying, cleaning and erasing
+// a block do no hash lookup. The LRU chain is intrusive
+// (prev/next pointers embedded in the entries). Each file's dirty blocks
+// also sit in an unordered vector whose slot every dirty entry stores, so
+// dirtying and cleaning are O(1) swap-removes; a flush sorts that list, so
+// writebacks still go out in ascending block order. Files with dirty blocks
+// are tracked in a small ordered set, so the 5-second cleaner looks only at
+// dirty blocks of dirty files instead of the whole cache.
 //
 // Every callback parameter is a FunctionRef: the caller's lambda, invoked in
 // place and never stored, so inserting, writing and cleaning a block
@@ -40,7 +47,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -58,13 +64,6 @@ struct BlockKey {
   int64_t index = 0;  // block number within the file
 
   bool operator==(const BlockKey&) const = default;
-};
-
-struct BlockKeyHash {
-  size_t operator()(const BlockKey& k) const {
-    return std::hash<uint64_t>()(k.file * 0x9e3779b97f4a7c15ULL ^
-                                 static_cast<uint64_t>(k.index));
-  }
 };
 
 class BlockCache {
@@ -192,7 +191,14 @@ class BlockCache {
 
   const CacheConfig& config() const { return config_; }
 
+  // Slots allocated for `file`'s block table; 0 once its last block is gone.
+  // No production caller: BlockCacheTest and BlockIndexProperty check the
+  // table's memory bound through it.
+  int64_t TableSlots(uint64_t file) const;
+
  private:
+  struct FileState;
+
   struct Entry {
     BlockKey key;  // embedded: the intrusive LRU chain needs no key list
     SimTime last_ref = 0;
@@ -202,55 +208,42 @@ class BlockCache {
     // entries never move, so these survive unrelated inserts and erases.
     Entry* lru_prev = nullptr;
     Entry* lru_next = nullptr;
-    // This entry's index in its FileState's `blocks`, and in `dirty` while
-    // dirty: swap-removal needs no search.
-    uint32_t block_slot = 0;
+    FileState* file = nullptr;  // the state of key.file, which holds this entry
+    // This entry's index in its FileState's `dirty` while dirty:
+    // swap-removal needs no search.
     uint32_t dirty_slot = 0;
-    uint32_t pool_index = 0;  // this entry's own position in `pool_`
     bool prefetched = false;  // inserted by readahead, not yet demanded
     bool dirty = false;
   };
 
-  // One slot of the block index: the key's 32-bit hash, which is both its
-  // home slot and its compare tag, and its entry's pool index (kNoEntry
-  // while the slot is empty).
-  static constexpr uint32_t kNoEntry = UINT32_MAX;
-  struct Slot {
-    uint32_t hash = 0;
-    uint32_t entry = kNoEntry;
-  };
-
-  // All per-file state in one node: the resident blocks, the dirty subset
-  // (both unordered; a flush sorts `dirty`), and the cached version (0 =
-  // unknown; real server versions start at 1).
+  // All per-file state in one node: the resident blocks by block number,
+  // the dirty subset (unordered; a flush sorts it), and the cached version
+  // (0 = unknown; real server versions start at 1).
   struct FileState {
-    std::vector<Entry*> blocks;
+    // table[i] is block base + i, or null. Empty while no block is resident;
+    // otherwise its last slot is never null.
+    std::vector<Entry*> table;
+    int64_t base = 0;
+    int64_t resident = 0;  // non-null slots in `table`
     std::vector<Entry*> dirty;
     uint64_t version = 0;
   };
 
-  // Appends `entry` to `list` / swap-removes it, keeping `entry->*slot`
-  // (and the moved entry's) equal to the entry's index in `list`.
-  static void PushSlot(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry);
-  static void SwapRemove(std::vector<Entry*>& list, uint32_t Entry::*slot, Entry* entry);
   // Orders a dirty list for a flush: descending block index, so the flush
   // takes the lowest block off the back and each MarkClean is a pop_back.
   static void SortForFlush(std::vector<Entry*>& dirty);
 
-  // The block index: linear probing over `slots_`, kept at most half full,
-  // with backward-shift erase and no tombstones. Growing and erasing read
-  // only slots; a probe reads an entry only when the hash tag matches.
-  static uint32_t HashKey(BlockKey key);
   // `key`'s entry, or nullptr if it is not resident.
   const Entry* Locate(BlockKey key) const;
   Entry* Find(BlockKey key) { return const_cast<Entry*>(Locate(key)); }
-  // Takes a pool entry for `key`, which must not be resident, and indexes it.
+  // Takes a pool entry for `key`, which must not be resident, and enters it
+  // in its file's table.
   Entry* Allocate(BlockKey key);
-  // Unindexes `entry` and returns it to the free list. Under ASan the freed
-  // entry is poisoned until reused, so a stale Entry* still faults.
+  // Returns `entry` to the free list. Under ASan the freed entry is
+  // poisoned until reused, so a stale Entry* still faults.
   void Release(Entry* entry);
-  // Puts `slot` at the first free position of its probe run.
-  void Place(Slot slot);
+  // `fs`'s table slot for `block`, growing the table to cover it.
+  static Entry*& TableSlot(FileState& fs, int64_t block);
 
   void LruUnlink(Entry* entry);
   void LruPushFront(Entry* entry);
@@ -284,14 +277,14 @@ class BlockCache {
   int64_t limit_blocks_;
 
   // Resident blocks. A deque never moves its elements, and an erased
-  // entry's position goes to `free_` for reuse.
+  // entry goes to `free_` for reuse.
   std::deque<Entry> pool_;
-  std::vector<uint32_t> free_;
-  std::vector<Slot> slots_;  // the block index; size is a power of two
+  std::vector<Entry*> free_;
   Entry* lru_head_ = nullptr;  // most recent
   Entry* lru_tail_ = nullptr;  // least recent
-  // file -> blocks/dirty blocks/version. An entry outlives its blocks only
-  // while it still carries a known version.
+  // file -> blocks/dirty blocks/version. A node-based map: entries point at
+  // their FileState, which must not move when the map rehashes. An entry
+  // outlives its blocks only while it still carries a known version.
   std::unordered_map<uint64_t, FileState> files_;
   // Files with a non-empty dirty list, ascending. Small (bounded by the
   // 30-second write-back horizon), and gives cleaners their deterministic

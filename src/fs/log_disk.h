@@ -23,6 +23,7 @@
 #define SPRITE_DFS_SRC_FS_LOG_DISK_H_
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,13 @@
 #include "src/util/units.h"
 
 namespace sprite {
+
+struct BlockKeyHash {
+  size_t operator()(const BlockKey& k) const {
+    return std::hash<uint64_t>()(k.file * 0x9e3779b97f4a7c15ULL ^
+                                 static_cast<uint64_t>(k.index));
+  }
+};
 
 struct SegmentLogConfig {
   // Size of one log segment (LFS used 512 KB - 1 MB).

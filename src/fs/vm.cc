@@ -6,64 +6,91 @@ namespace sprite {
 
 Vm::Vm(int64_t total_pages, SimDuration preference_age, int64_t floor_pages)
     : total_pages_(total_pages), preference_age_(preference_age), floor_pages_(floor_pages) {
-  for (int64_t i = 0; i < floor_pages; ++i) {
-    pages_.push_back(Page{PageKind::kCode, 0});
-  }
+  CrashReset();
 }
 
-void Vm::AddPage(PageKind kind, SimTime now) { pages_.push_front(Page{kind, now}); }
+void Vm::AddPage(PageKind kind, SimTime now) {
+  kinds_.push_front(kind);
+  runs_.push_front(Run{now, 1});
+}
 
 void Vm::TouchWorkingSet(SimTime now, int64_t count) {
-  const int64_t n = std::min<int64_t>(count, static_cast<int64_t>(pages_.size()));
-  for (int64_t i = 0; i < n; ++i) {
-    pages_[static_cast<size_t>(i)].last_ref = now;
+  const int64_t n = std::min<int64_t>(count, resident_pages());
+  if (n <= 0) {
+    return;
+  }
+  for (int64_t left = n; left > 0;) {
+    Run& mru = runs_.front();
+    const int64_t taken = std::min(left, mru.pages);
+    mru.pages -= taken;
+    left -= taken;
+    if (mru.pages == 0) {
+      runs_.pop_front();
+    }
+  }
+  runs_.push_front(Run{now, n});
+}
+
+void Vm::PopLruRuns(int64_t count) {
+  while (count > 0) {
+    Run& lru = runs_.back();
+    const int64_t taken = std::min(count, lru.pages);
+    lru.pages -= taken;
+    count -= taken;
+    if (lru.pages == 0) {
+      runs_.pop_back();
+    }
   }
 }
 
 Vm::Evicted Vm::EvictLru() {
-  if (static_cast<int64_t>(pages_.size()) <= floor_pages_) {
+  if (resident_pages() <= floor_pages_) {
     return {};
   }
-  const Page page = pages_.back();
-  pages_.pop_back();
-  return Evicted{page.kind, true};
+  const PageKind kind = kinds_.back();
+  kinds_.pop_back();
+  PopLruRuns(1);
+  return Evicted{kind, true};
 }
 
 SimDuration Vm::EvictableLruAge(SimTime now) const {
-  if (static_cast<int64_t>(pages_.size()) <= floor_pages_) {
+  if (resident_pages() <= floor_pages_) {
     return -1;
   }
-  return now - pages_.back().last_ref;
+  return now - runs_.back().last_ref;
 }
 
 bool Vm::TryYieldIdlePage(SimTime now) {
-  if (static_cast<int64_t>(pages_.size()) <= floor_pages_) {
+  if (resident_pages() <= floor_pages_) {
     return false;
   }
-  if (now - pages_.back().last_ref < preference_age_) {
+  if (now - runs_.back().last_ref < preference_age_) {
     return false;
   }
-  pages_.pop_back();
+  kinds_.pop_back();
+  PopLruRuns(1);
   return true;
 }
 
 void Vm::CrashReset() {
-  pages_.clear();
-  for (int64_t i = 0; i < floor_pages_; ++i) {
-    pages_.push_back(Page{PageKind::kCode, 0});
+  kinds_.assign(static_cast<size_t>(std::max<int64_t>(floor_pages_, 0)), PageKind::kCode);
+  runs_.clear();
+  if (floor_pages_ > 0) {
+    runs_.push_back(Run{0, floor_pages_});
   }
 }
 
 int64_t Vm::EvictColdPages(int64_t count) {
+  const int64_t n = std::max<int64_t>(0, std::min(count, resident_pages() - floor_pages_));
   int64_t dirty = 0;
-  for (int64_t i = 0;
-       i < count && static_cast<int64_t>(pages_.size()) > floor_pages_; ++i) {
-    const Page& page = pages_.back();
-    if (page.kind == PageKind::kModifiedData || page.kind == PageKind::kStack) {
+  for (int64_t i = 0; i < n; ++i) {
+    const PageKind kind = kinds_.back();
+    if (kind == PageKind::kModifiedData || kind == PageKind::kStack) {
       ++dirty;
     }
-    pages_.pop_back();
+    kinds_.pop_back();
   }
+  PopLruRuns(n);
   return dirty;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -415,6 +416,44 @@ TEST_F(BlockCacheTest, CleanAgedSurvivesWritebackThatDropsTheFile) {
   EXPECT_TRUE(cache.DirtyFiles().empty());
 }
 
+TEST_F(BlockCacheTest, FlushCleansABlockRewrittenUnderTheFilesNewState) {
+  // The second writeback drops file 1, dirties a block of file 2 (whose new
+  // state may take the freed one's memory) and writes file 1's block again:
+  // the flush re-finds that block under file 1's new state and cleans it
+  // there, leaving file 2 alone.
+  BlockCache cache(SmallConfig(16), &counters_);
+  cache.set_limit_blocks(16);
+  for (int64_t b = 0; b < 4; ++b) {
+    cache.Write({1, b}, 0, 100, Sink());
+  }
+  const int64_t bytes = cache.CleanFile(1, 1, CleanReason::kFsync, [&](BlockKey key, int64_t n) {
+    writebacks_.emplace_back(key, n);
+    if (key.index == 1) {
+      cache.DropFile(1, 1);
+      cache.Write({2, 0}, 1, 30, Sink());
+      cache.Write({1, 1}, 1, 50, Sink());
+    }
+  });
+  const std::vector<std::pair<BlockKey, int64_t>> expected = {{{1, 0}, 100}, {{1, 1}, 100}};
+  EXPECT_EQ(writebacks_, expected);
+  EXPECT_EQ(bytes, 200);
+  EXPECT_EQ(cache.block_count(), 2);
+  EXPECT_TRUE(cache.Contains({1, 1}));
+  EXPECT_FALSE(cache.IsDirty({1, 1})) << "a block turns clean when its writeback returns";
+  EXPECT_FALSE(cache.HasDirtyBlocks(1));
+  EXPECT_TRUE(cache.IsDirty({2, 0}));
+  EXPECT_EQ(cache.DirtyBytes(2), 30);
+  EXPECT_EQ(cache.DirtyFiles(), (std::vector<uint64_t>{2}));
+  // File 1's new state keeps working: another block dirties and flushes.
+  writebacks_.clear();
+  cache.Write({1, 2}, 2, 70, Sink());
+  EXPECT_EQ(cache.DirtyFiles(), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(cache.CleanFile(1, 3, CleanReason::kFsync, Sink()), 70);
+  ASSERT_EQ(writebacks_.size(), 1u);
+  EXPECT_EQ(writebacks_[0].first, (BlockKey{1, 2}));
+  EXPECT_EQ(cache.block_count(), 3);
+}
+
 TEST_F(BlockCacheTest, DirtyVictimEvictionSurvivesWritebackThatDropsTheFile) {
   BlockCache cache(SmallConfig(), &counters_);
   cache.set_limit_blocks(2);
@@ -431,6 +470,60 @@ TEST_F(BlockCacheTest, DirtyVictimEvictionSurvivesWritebackThatDropsTheFile) {
   EXPECT_TRUE(cache.Contains({2, 0}));
   EXPECT_EQ(cache.block_count(), 1);
   EXPECT_TRUE(cache.DirtyFiles().empty());
+}
+
+// --- Per-file block tables ------------------------------------------------------
+
+TEST_F(BlockCacheTest, SlidingWindowKeepsTheFileTableNearTheWindowSize) {
+  // A 1,024-block window slides up, then down, over 10^6 block indices of
+  // one file: LRU evicts the block that leaves the window. The table must
+  // follow the window, not the indices it has passed.
+  constexpr int64_t kWindow = 1024;
+  constexpr int64_t kBlocks = 1000000;
+  BlockCache cache(SmallConfig(kWindow), &counters_);
+  cache.set_limit_blocks(kWindow);
+  int64_t peak_slots = 0;
+  SimTime now = 0;
+  // Inserts blocks `from`, `from + dir`, ... up to `to` (exclusive).
+  auto slide = [&](int64_t from, int64_t to, int64_t dir) -> ::testing::AssertionResult {
+    for (int64_t b = from; b != to; b += dir) {
+      cache.InsertClean({1, b}, ++now, Sink());
+      const int64_t slots = cache.TableSlots(1);
+      peak_slots = std::max(peak_slots, slots);
+      if (slots > 4 * kWindow) {
+        return ::testing::AssertionFailure() << slots << " table slots at block " << b;
+      }
+      if (cache.block_count() == kWindow && cache.Contains({1, b - dir * kWindow})) {
+        return ::testing::AssertionFailure() << "block " << b - dir * kWindow << " outlived the window";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+  ASSERT_TRUE(slide(0, kBlocks, 1));
+  EXPECT_TRUE(cache.Contains({1, kBlocks - kWindow}));
+  EXPECT_EQ(cache.block_count(), kWindow);
+  cache.InvalidateFile(1, ++now);
+  EXPECT_EQ(cache.TableSlots(1), 0) << "the table goes with the file's last block";
+  ASSERT_TRUE(slide(kBlocks - 1, -1, -1));
+  EXPECT_TRUE(cache.Contains({1, kWindow - 1}));
+  EXPECT_EQ(cache.block_count(), kWindow);
+  EXPECT_GE(peak_slots, kWindow);
+  EXPECT_EQ(counters_.replaced_for_file, 2 * (kBlocks - kWindow));
+}
+
+TEST_F(BlockCacheTest, TableIsFreedWithTheLastBlockButTheVersionStays) {
+  BlockCache cache(SmallConfig(4), &counters_);
+  cache.set_limit_blocks(2);
+  cache.AdoptVersion(1, 7);
+  cache.InsertClean({1, 100}, 0, Sink());
+  cache.InsertClean({1, 5000}, 1, Sink());  // far apart: the table spans both
+  EXPECT_GE(cache.TableSlots(1), 4901);
+  cache.InsertClean({2, 0}, 2, Sink());  // evicts block 100: the front is trimmed
+  EXPECT_LE(cache.TableSlots(1), 2);
+  cache.InsertClean({2, 1}, 3, Sink());  // evicts block 5000, file 1's last
+  EXPECT_EQ(cache.TableSlots(1), 0);
+  EXPECT_EQ(cache.CachedVersion(1), 7u);
+  EXPECT_FALSE(cache.SyncVersion(1, 8, 4)) << "no blocks left to flush";
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // BlockCache at server scale against a reference model: a std::map of the
 // resident blocks and a std::list for LRU order. Each seeded run fills the
-// cache past 32,768 blocks over thousands of files, churns, crashes and
-// fills again, so the block index grows from its minimum size many times
-// and probe runs wrap past the end of its slot array. Random churn
+// cache past 32,768 blocks, churns, crashes and fills again; random churn
 // inserts, dirties, cleans, drops, evicts and demotes blocks throughout.
+// Two key shapes drive it. `Seeds` spreads short runs over 4,000 small
+// files, so per-file tables are small and files come and go. `LongFiles`
+// keeps a drifting set of hot files among 96 of up to 4,096 blocks, walks
+// its runs down as well as up, and gives some files blocks far beyond the
+// rest: tables grow at the front, are trimmed as their files cool, and are
+// freed with their last block. Every table must stay within four slots per
+// block of its file's resident span.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +16,7 @@
 #include <iterator>
 #include <list>
 #include <map>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -104,6 +110,17 @@ class ReferenceCache {
     return bytes;
   }
 
+  // Blocks from the lowest resident block of `file` to its highest; 0 if
+  // none is resident.
+  int64_t Span(uint64_t file) const {
+    auto first = FileBegin(file);
+    if (first == blocks_.end() || first->first.first != file) {
+      return 0;
+    }
+    auto last = std::prev(blocks_.lower_bound({file + 1, INT64_MIN}));
+    return last->first.second - first->first.second + 1;
+  }
+
   int64_t DirtyBytes(uint64_t file) const {
     int64_t bytes = 0;
     for (auto it = FileBegin(file); it != blocks_.end() && it->first.first == file; ++it) {
@@ -171,15 +188,30 @@ class ReferenceCache {
   std::list<Key> lru_;
 };
 
-class BlockIndexProperty : public ::testing::TestWithParam<uint64_t> {};
+enum class KeyShape {
+  kShortFiles,  // 4,000 files, blocks below 48, runs walk up
+  kLongFiles,   // 96 files of up to 4,096 blocks (some with far-apart ones)
+};
+
+struct IndexParam {
+  KeyShape shape;
+  uint64_t seed;
+};
+
+// Names each case by its seed; the instantiation's prefix names the shape.
+void PrintTo(const IndexParam& param, std::ostream* os) { *os << param.seed; }
+
+class BlockIndexProperty : public ::testing::TestWithParam<IndexParam> {};
 
 TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
   constexpr int64_t kMinBlocks = 33000;  // above 32,768 whenever full
   constexpr int64_t kStartLimit = 34000;
-  constexpr uint64_t kFiles = 4000;
-  constexpr int64_t kBlocksPerFile = 48;
-  constexpr int kSteps = 120000;
   constexpr int kSweepEvery = 20000;
+  const bool long_files = GetParam().shape == KeyShape::kLongFiles;
+  const int steps = long_files ? 60000 : 120000;
+  const uint64_t files = long_files ? 96 : 4000;
+  const int64_t blocks_per_file = long_files ? 4096 : 48;
+  const uint64_t max_run = long_files ? 32 : 16;
   CacheConfig config;
   config.min_blocks = kMinBlocks;
   config.max_blocks = 2 * kStartLimit;
@@ -187,24 +219,44 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
   BlockCache cache(config, &counters);
   cache.set_limit_blocks(kStartLimit);
   ReferenceCache ref(kMinBlocks, kStartLimit);
-  Rng rng(GetParam());
+  Rng rng(GetParam().seed);
 
   std::vector<std::pair<Key, int64_t>> written;  // the cache's writebacks this step
   const auto sink = [&written](BlockKey key, int64_t bytes) {
     written.emplace_back(Key{key.file, key.index}, bytes);
   };
   // File ids far apart, as the workload's per-user id ranges are, so the
-  // index hashes more than small consecutive integers.
+  // per-file map hashes more than small consecutive integers.
   auto file_id = [](uint64_t f) { return (f % 64) << 32 | (f / 64) * 7919; };
   std::vector<Key> recent(256);  // recently used keys, so lookups also hit
+  int step = 0;
   auto pick = [&] {
     if (rng.NextBool(0.25)) {
       return recent[rng.NextBelow(recent.size())];
     }
-    return Key{file_id(rng.NextBelow(kFiles)),
-               static_cast<int64_t>(rng.NextBelow(kBlocksPerFile))};
+    if (!long_files) {
+      return Key{file_id(rng.NextBelow(files)),
+                 static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(blocks_per_file)))};
+    }
+    // 24 hot files at a time, drifting, so cold files lose every block. One
+    // file in eight also holds blocks tens of thousands past the rest.
+    const uint64_t f = (static_cast<uint64_t>(step) / 1000 + rng.NextBelow(24)) % files;
+    const bool far = f % 8 == 0 && rng.NextBool(0.03);
+    return Key{file_id(f), far ? blocks_per_file + static_cast<int64_t>(rng.NextBelow(1 << 16))
+                               : static_cast<int64_t>(rng.NextBelow(
+                                     static_cast<uint64_t>(blocks_per_file)))};
   };
 
+  // The table of an absent file is freed; a resident file's stays within
+  // four slots per block of its span.
+  auto check_table = [&](uint64_t file) {
+    const int64_t span = ref.Span(file);
+    if (span == 0) {
+      ASSERT_EQ(cache.TableSlots(file), 0) << "file " << file;
+    } else {
+      ASSERT_LE(cache.TableSlots(file), 4 * span) << "file " << file;
+    }
+  };
   auto check_key = [&](Key key) {
     auto it = ref.blocks().find(key);
     const BlockKey k{key.first, key.second};
@@ -219,11 +271,12 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
       if (key.first != last_file) {
         last_file = key.first;
         ASSERT_EQ(cache.DirtyBytes(key.first), ref.DirtyBytes(key.first));
+        ASSERT_NO_FATAL_FAILURE(check_table(key.first));
         ++files_checked;
       }
     }
     for (int i = 0; i < 2000; ++i) {
-      ASSERT_NO_FATAL_FAILURE(check_key(pick()));  // mostly absent: probes stop at a hole
+      ASSERT_NO_FATAL_FAILURE(check_key(pick()));  // mostly absent
     }
     ASSERT_EQ(files_checked > 0, !ref.blocks().empty());
   };
@@ -233,15 +286,18 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
   int64_t useful = 0;
   int64_t fetches = 0;
   SimTime now = 0;
-  for (int step = 0; step < kSteps; ++step) {
+  for (; step < steps; ++step) {
     now += kMillisecond;
     const Key key = pick();
     recent[rng.NextBelow(recent.size())] = key;
     // Reads and writes touch a sequential run of blocks, as the workload's
-    // do; every other operation touches the one block `key`.
+    // do; every other operation touches the one block `key`. Long-file runs
+    // walk down from key + run - 1 to key half the time.
     int64_t run = 1;
-    auto block = [&key](int64_t b) { return Key{key.first, key.second + b}; };
-    auto cache_block = [&key](int64_t b) { return BlockKey{key.first, key.second + b}; };
+    const bool down = long_files && rng.NextBool(0.5);
+    auto offset = [&run, down](int64_t b) { return down ? run - 1 - b : b; };
+    auto block = [&](int64_t b) { return Key{key.first, key.second + offset(b)}; };
+    auto cache_block = [&](int64_t b) { return BlockKey{key.first, key.second + offset(b)}; };
     std::vector<Key> victims;
     // Each victim is gone right after the call that evicted it; a later
     // block of the same run may bring it back.
@@ -255,20 +311,20 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
     written.clear();
     const uint64_t op = rng.NextBelow(1000);
     if (op < 200) {
-      run = 1 + static_cast<int64_t>(rng.NextBelow(16));
+      run = 1 + static_cast<int64_t>(rng.NextBelow(max_run));
       for (int64_t b = 0; b < run; ++b) {
         ASSERT_EQ(cache.Lookup(cache_block(b), now), ref.Lookup(block(b), &useful))
             << "step " << step;
       }
     } else if (op < 450) {
-      run = 1 + static_cast<int64_t>(rng.NextBelow(16));
+      run = 1 + static_cast<int64_t>(rng.NextBelow(max_run));
       for (int64_t b = 0; b < run; ++b) {
         cache.InsertClean(cache_block(b), now, sink);
         ref.Insert(block(b), &victims, &expected);
         ASSERT_NO_FATAL_FAILURE(check_victims()) << "step " << step;
       }
     } else if (op < 550) {
-      run = 1 + static_cast<int64_t>(rng.NextBelow(16));
+      run = 1 + static_cast<int64_t>(rng.NextBelow(max_run));
       for (int64_t b = 0; b < run; ++b) {
         cache.InsertPrefetched(cache_block(b), now, sink);
         if (!ref.Insert(block(b), &victims, &expected, /*prefetched=*/true)) {
@@ -277,7 +333,7 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
         ASSERT_NO_FATAL_FAILURE(check_victims()) << "step " << step;
       }
     } else if (op < 800) {
-      run = 1 + static_cast<int64_t>(rng.NextBelow(16));
+      run = 1 + static_cast<int64_t>(rng.NextBelow(max_run));
       for (int64_t b = 0; b < run; ++b) {
         const int64_t end =
             1 + static_cast<int64_t>(rng.NextBelow(kBlockSize + kBlockSize / 4));
@@ -309,7 +365,7 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
       ref.Demote(key);
     } else if (at_scale && rng.NextBool(0.05)) {
       // Only once the cache has reached server scale since the last reset;
-      // the refill grows the index from its minimum again. NVRAM replay
+      // the refill rebuilds every table from empty. NVRAM replay
       // half the time; either way every block goes.
       at_scale = false;
       const bool nvram = rng.NextBool(0.5);
@@ -332,6 +388,7 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
       ASSERT_NO_FATAL_FAILURE(check_key(block(b))) << "step " << step;
     }
     ASSERT_EQ(cache.DirtyBytes(key.first), ref.DirtyBytes(key.first)) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(check_table(key.first)) << "step " << step;
     ASSERT_EQ(cache.block_count(), static_cast<int64_t>(ref.blocks().size())) << "step " << step;
     ASSERT_EQ(cache.limit_blocks(), ref.limit());
     peak = std::max(peak, cache.block_count());
@@ -344,7 +401,7 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
   EXPECT_EQ(counters.prefetch_useful, useful);
   EXPECT_GE(peak, 32768) << "the run must reach server scale";
 
-  // A final reset drops everything; the emptied index still answers.
+  // A final reset drops everything; the emptied cache still answers.
   const auto [lost, recovered] = cache.CrashReset(nullptr);
   int64_t dirty_bytes = 0;
   for (const auto& [dirty_key, extent] : ref.Crash()) {
@@ -356,7 +413,16 @@ TEST_P(BlockIndexProperty, ServerScaleChurnMatchesReferenceModel) {
   ASSERT_NO_FATAL_FAILURE(sweep());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BlockIndexProperty, ::testing::Values(1, 2, 3, 1991));
+INSTANTIATE_TEST_SUITE_P(Seeds, BlockIndexProperty,
+                         ::testing::Values(IndexParam{KeyShape::kShortFiles, 1},
+                                           IndexParam{KeyShape::kShortFiles, 2},
+                                           IndexParam{KeyShape::kShortFiles, 3},
+                                           IndexParam{KeyShape::kShortFiles, 1991}));
+INSTANTIATE_TEST_SUITE_P(LongFiles, BlockIndexProperty,
+                         ::testing::Values(IndexParam{KeyShape::kLongFiles, 1},
+                                           IndexParam{KeyShape::kLongFiles, 2},
+                                           IndexParam{KeyShape::kLongFiles, 3},
+                                           IndexParam{KeyShape::kLongFiles, 1991}));
 
 }  // namespace
 }  // namespace sprite

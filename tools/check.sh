@@ -24,7 +24,7 @@ randomized_sweep() {
   # Property churn sequences and same-seed cluster runs, under the
   # sanitizers: any nondeterminism or sanitizer report fails the pass.
   ctest --test-dir "${build_dir}" --output-on-failure --repeat until-fail:3 \
-    -R "RebalanceSequenceProperty|PlacementChurnProperty|ShadowConservationProperty|WriteSharingProperty|SpanLogProperty|QueueDepthProperty|SameSeedRebalancedRuns|SameSeedRunsProduceIdenticalStreams|Deterministic"
+    -R "RebalanceSequenceProperty|PlacementChurnProperty|ShadowConservationProperty|WriteSharingProperty|SpanLogProperty|QueueDepthProperty|BlockIndexProperty|VmWorkingSetProperty|SameSeedRebalancedRuns|SameSeedRunsProduceIdenticalStreams|Deterministic"
 }
 
 perf_gate() {
